@@ -10,15 +10,6 @@
 // Or specify the model by hand:
 //
 //	remy -senders 1:16 -rate 10e6:20e6 -rtt 100:200 -delta 1 -out my.json
-//
-// Training can fan specimen simulations out over worker processes; the same
-// binary is the worker (-worker, spawned automatically):
-//
-//	remy -preset delta1 -distribute 4 -out my.json
-//
-// A distributed run trains the exact same tree, byte for byte, as an
-// in-process run with the same seed, and composes with -checkpoint/-resume:
-// a run checkpointed in-process can resume distributed and vice versa.
 package main
 
 import (
@@ -34,7 +25,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/distrib"
 	"repro/internal/exp"
 	"repro/internal/optimizer"
 	"repro/internal/sim"
@@ -76,39 +66,6 @@ func presetSpec(name string, budget float64) (exp.TrainSpec, error) {
 		return exp.CompetingTrainSpec(budget), nil
 	default:
 		return exp.TrainSpec{}, fmt.Errorf("unknown preset %q", name)
-	}
-}
-
-// effectiveWorkers mirrors the optimizer's default so the coordinator can
-// split one machine's parallelism across its worker processes.
-func effectiveWorkers(flagValue int) int {
-	if flagValue > 0 {
-		return flagValue
-	}
-	n := runtime.NumCPU() - 1
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// runWorker is the -worker mode: speak the distrib protocol on stdio until
-// the coordinator closes the stream. Exit code 3 marks a chaos exit (the
-// -worker-exit-after test hook), so accidental crashes stay distinguishable.
-func runWorker(parallel, exitAfter int) {
-	err := distrib.Serve(os.Stdin, os.Stdout, distrib.ServeOptions{
-		Parallel:         parallel,
-		ExitAfterBatches: exitAfter,
-		Logf:             log.Printf,
-	})
-	switch err {
-	case nil:
-		os.Exit(0)
-	case distrib.ErrChaosExit:
-		log.Printf("remy worker %d: chaos exit after %d batches", os.Getpid(), exitAfter)
-		os.Exit(3)
-	default:
-		log.Fatalf("remy worker %d: %v", os.Getpid(), err)
 	}
 }
 
@@ -157,15 +114,6 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "path to save the tree + training state after every round (long runs survive interruption)")
 	resume := flag.Bool("resume", false, "resume an interrupted run from the -checkpoint files")
 
-	distribute := flag.Int("distribute", 0, "fan specimen simulations out over this many local worker processes (0 = in-process); the trained tree is identical either way")
-	batchTimeout := flag.Duration("batch-timeout", 0, "watchdog on one distributed batch dispatch (0 = 5m)")
-	batchRetries := flag.Int("batch-retries", 2, "re-dispatch attempts after a worker crash before the run aborts")
-	chaosKillWorker := flag.Bool("chaos-kill-worker", false, "testing: the first incarnation of worker 0 exits mid-round after two batches (exercises respawn + re-dispatch)")
-
-	workerMode := flag.Bool("worker", false, "run as an evaluation worker speaking the distrib protocol on stdio (spawned by -distribute; not for interactive use)")
-	workerParallel := flag.Int("worker-parallel", 1, "worker mode: inner concurrent simulations")
-	workerExitAfter := flag.Int("worker-exit-after", 0, "worker mode, testing: exit without answering after this many batches (negative: before the first)")
-
 	benchJSON := flag.String("bench-json", "", "write per-round timing/throughput to this path in bench2json schema")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the design run to this path")
 	memprofile := flag.String("memprofile", "", "write a heap profile (taken after training) to this path")
@@ -177,11 +125,6 @@ func main() {
 	duration := flag.Float64("duration", 5, "specimen duration in seconds (custom model)")
 	specimens := flag.Int("specimens", 4, "specimens per evaluation (custom model)")
 	flag.Parse()
-
-	if *workerMode {
-		runWorker(*workerParallel, *workerExitAfter)
-		return
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -262,48 +205,6 @@ func main() {
 				},
 			})
 		}
-	}
-
-	if *distribute > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			log.Fatalf("remy: locating own binary for -distribute: %v", err)
-		}
-		// Split the machine's parallelism across the fleet: N processes with
-		// effectiveWorkers/N inner goroutines each keeps the total simulation
-		// concurrency at the -workers level regardless of N.
-		inner := effectiveWorkers(*workers) / *distribute
-		if inner < 1 {
-			inner = 1
-		}
-		pf := distrib.ProcessFactory{
-			Path: exe,
-			Args: []string{"-worker", fmt.Sprintf("-worker-parallel=%d", inner)},
-		}
-		if *chaosKillWorker {
-			pf.ArgsFor = func(slot, attempt int) []string {
-				if slot == 0 && attempt == 0 {
-					return []string{"-worker-exit-after=2"}
-				}
-				return nil
-			}
-		}
-		retries := *batchRetries
-		if retries <= 0 {
-			retries = -1 // distrib.Options: negative means zero retries
-		}
-		coord, err := distrib.NewCoordinator(pf, distrib.Options{
-			Procs:        *distribute,
-			BatchTimeout: *batchTimeout,
-			Retries:      retries,
-			Logf:         log.Printf,
-		})
-		if err != nil {
-			log.Fatalf("remy: starting worker fleet: %v", err)
-		}
-		defer coord.Close()
-		r.Backend = coord
-		log.Printf("distributing evaluation over %d worker processes (%d inner sims each)", *distribute, inner)
 	}
 
 	log.Printf("designing RemyCC: objective {%v}, model senders=[%d,%d] rate=%v rtt=%v, %d specimens of %v",

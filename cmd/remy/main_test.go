@@ -10,9 +10,7 @@ import (
 
 // The e2e tests drive the real CLI binary: TestMain re-execs the test binary
 // as `remy` when the env gate is set, so subprocess runs go through the
-// genuine main() — including -worker mode, which the spawned coordinator
-// process reaches through os.Executable() with the gate inherited from its
-// environment.
+// genuine main().
 
 const mainEnvGate = "REMY_E2E_MAIN"
 
@@ -60,66 +58,19 @@ func train(t *testing.T, out string, extra ...string) []byte {
 	return tree
 }
 
-func TestDistributeMatchesInProcess(t *testing.T) {
-	if testing.Short() {
-		t.Skip("e2e subprocess test")
-	}
-	dir := t.TempDir()
-	local := train(t, filepath.Join(dir, "local.json"), "-rounds", "3")
-	dist := train(t, filepath.Join(dir, "dist.json"), "-rounds", "3", "-distribute", "2")
-	if !bytes.Equal(local, dist) {
-		t.Fatal("-distribute 2 trained a different tree than the in-process run")
-	}
-	chaos := train(t, filepath.Join(dir, "chaos.json"), "-rounds", "3", "-distribute", "2", "-chaos-kill-worker")
-	if !bytes.Equal(local, chaos) {
-		t.Fatal("killing a worker mid-round changed the trained tree")
-	}
-}
-
-// TestResumeAcrossModeSwitch pins that -checkpoint/-resume compose with
-// -distribute byte for byte, in both directions: a run checkpointed
-// in-process resumes distributed (and vice versa) to exactly the tree an
-// uninterrupted single-process run trains.
-func TestResumeAcrossModeSwitch(t *testing.T) {
+// TestResumeMatchesUninterrupted pins that -checkpoint/-resume compose byte
+// for byte: a run checkpointed after 2 rounds and resumed to 4 trains exactly
+// the tree an uninterrupted 4-round run trains.
+func TestResumeMatchesUninterrupted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e subprocess test")
 	}
 	dir := t.TempDir()
 	ref := train(t, filepath.Join(dir, "ref.json"), "-rounds", "4")
-
-	// In-process for 2 rounds, resume distributed to 4.
-	ckptA := filepath.Join(dir, "a.ckpt.json")
-	train(t, filepath.Join(dir, "a2.json"), "-rounds", "2", "-checkpoint", ckptA)
-	gotA := train(t, filepath.Join(dir, "a4.json"), "-rounds", "4", "-checkpoint", ckptA, "-resume", "-distribute", "2")
-	if !bytes.Equal(ref, gotA) {
-		t.Fatal("in-process → distributed resume diverged from the uninterrupted run")
-	}
-
-	// Distributed for 2 rounds, resume in-process to 4.
-	ckptB := filepath.Join(dir, "b.ckpt.json")
-	train(t, filepath.Join(dir, "b2.json"), "-rounds", "2", "-checkpoint", ckptB, "-distribute", "2")
-	gotB := train(t, filepath.Join(dir, "b4.json"), "-rounds", "4", "-checkpoint", ckptB, "-resume")
-	if !bytes.Equal(ref, gotB) {
-		t.Fatal("distributed → in-process resume diverged from the uninterrupted run")
-	}
-}
-
-// TestWorkerModeExitCodes pins the -worker contract: immediate EOF on stdin
-// is a clean exit (the coordinator closed the stream), so fleet shutdown
-// never reports phantom failures.
-func TestWorkerModeCleanEOF(t *testing.T) {
-	if testing.Short() {
-		t.Skip("e2e subprocess test")
-	}
-	cmd := remyCmd(t, "-worker")
-	cmd.Stdin = bytes.NewReader(nil)
-	var stdout bytes.Buffer
-	cmd.Stdout = &stdout
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("worker with closed stdin should exit 0, got %v", err)
-	}
-	// The worker still sent its hello before seeing EOF.
-	if stdout.Len() == 0 {
-		t.Fatal("worker exited without sending a hello frame")
+	ckpt := filepath.Join(dir, "run.ckpt.json")
+	train(t, filepath.Join(dir, "run2.json"), "-rounds", "2", "-checkpoint", ckpt)
+	got := train(t, filepath.Join(dir, "run4.json"), "-rounds", "4", "-checkpoint", ckpt, "-resume")
+	if !bytes.Equal(ref, got) {
+		t.Fatal("checkpointed and resumed run diverged from the uninterrupted run")
 	}
 }

@@ -46,20 +46,33 @@ func (o outageInjector) RateScale(sim.Time) float64   { return 1 }
 func (o outageInjector) ExtraDelay(sim.Time) sim.Time { return 0 }
 func (o outageInjector) DropDelivered(sim.Time) bool  { return false }
 
+// dumbbellPort builds a one-link network (the Figure 2 dumbbell) serving
+// link and attaches one flow to it with a pure-delay return path.
+func dumbbellPort(t *testing.T, eng *sim.Engine, link netsim.LinkConfig, sender netsim.Sender, owd sim.Time) (*netsim.Port, *netsim.Network) {
+	t.Helper()
+	net, err := netsim.NewGraph(eng, netsim.GraphConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.AddLink(link)
+	if err != nil {
+		t.Fatal(err)
+	}
+	port, err := net.AttachFlowRoute(sender, []*netsim.Link{l}, nil, owd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return port, net
+}
+
 // buildFlow wires one transport onto a fresh dumbbell network.
 func buildFlow(t *testing.T, eng *sim.Engine, queue netsim.Queue, rateBps float64, owd sim.Time, algo cc.Algorithm) (*cc.Transport, *netsim.Network) {
 	t.Helper()
-	net, err := netsim.NewNetwork(eng, netsim.Config{Queue: queue, LinkRateBps: rateBps})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Attach a placeholder first; transport needs the port, port needs the sender.
 	var tr *cc.Transport
-	port, err := net.AttachFlow(netsim.SenderFunc(func(a netsim.Ack, now sim.Time) { tr.OnAck(a, now) }), owd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err = cc.NewTransport(eng, port, algo, netsim.MTU)
+	port, net := dumbbellPort(t, eng, netsim.LinkConfig{Queue: queue, RateBps: rateBps},
+		netsim.SenderFunc(func(a netsim.Ack, now sim.Time) { tr.OnAck(a, now) }), owd)
+	tr, err := cc.NewTransport(eng, port, algo, netsim.MTU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +82,8 @@ func buildFlow(t *testing.T, eng *sim.Engine, queue netsim.Queue, rateBps float6
 
 func TestNewTransportValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	net, _ := netsim.NewNetwork(eng, netsim.Config{Queue: aqm.MustDropTail(10), LinkRateBps: 1e6})
-	port, _ := net.AttachFlow(netsim.SenderFunc(func(netsim.Ack, sim.Time) {}), 0)
+	port, _ := dumbbellPort(t, eng, netsim.LinkConfig{Queue: aqm.MustDropTail(10), RateBps: 1e6},
+		netsim.SenderFunc(func(netsim.Ack, sim.Time) {}), 0)
 	if _, err := cc.NewTransport(nil, port, &fixedWindow{window: 1}, 0); err == nil {
 		t.Error("nil engine accepted")
 	}
@@ -172,14 +185,11 @@ func TestTransportTimeoutRecovery(t *testing.T) {
 	// retransmission timer.
 	eng := sim.NewEngine()
 	trace := []sim.Time{10 * sim.Millisecond, 20 * sim.Millisecond, 30 * sim.Millisecond}
-	net, err := netsim.NewNetwork(eng, netsim.Config{Queue: aqm.MustDropTail(1000), Trace: trace})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var tr *cc.Transport
-	port, _ := net.AttachFlow(netsim.SenderFunc(func(a netsim.Ack, now sim.Time) { tr.OnAck(a, now) }), 5*sim.Millisecond)
+	port, net := dumbbellPort(t, eng, netsim.LinkConfig{Queue: aqm.MustDropTail(1000), Trace: trace},
+		netsim.SenderFunc(func(a netsim.Ack, now sim.Time) { tr.OnAck(a, now) }), 5*sim.Millisecond)
 	algo := &fixedWindow{window: 10}
-	tr, err = cc.NewTransport(eng, port, algo, netsim.MTU)
+	tr, err := cc.NewTransport(eng, port, algo, netsim.MTU)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,16 +21,15 @@ func benchScenario(newAlgo func() cc.Algorithm) Scenario {
 		StartOn: true,
 	}
 	s := Scenario{
-		LinkRateBps:   20e6,
-		Queue:         QueueDropTail,
-		QueueCapacity: 100,
-		Duration:      3 * sim.Second,
+		Links:    dumbbell(20e6, dropTailFactory(100)),
+		Duration: 3 * sim.Second,
 	}
 	for i := 0; i < 4; i++ {
 		s.Flows = append(s.Flows, FlowSpec{
 			RTTMs:        100,
 			Workload:     always,
 			NewAlgorithm: newAlgo,
+			Path:         bottleneck,
 		})
 	}
 	return s

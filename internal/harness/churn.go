@@ -81,8 +81,11 @@ type churnRuntime struct {
 // root with labels beyond the static flows' so adding churn never perturbs a
 // static scenario, and static ports keep slots 0..len(flows)-1.
 func newChurnRuntime(s *Scenario, engine *sim.Engine, network *netsim.Network, rootRNG *sim.RNG, mtu int) (*churnRuntime, error) {
+	if s.MaxLiveFlows < 0 {
+		return nil, fmt.Errorf("harness: negative MaxLiveFlows %d", s.MaxLiveFlows)
+	}
 	maxLive := s.MaxLiveFlows
-	if maxLive <= 0 {
+	if maxLive == 0 {
 		maxLive = DefaultMaxLiveFlows
 	}
 	rt := &churnRuntime{
@@ -99,15 +102,11 @@ func newChurnRuntime(s *Scenario, engine *sim.Engine, network *netsim.Network, r
 			oneWay: sim.FromMillis(class.RTTMs / 2),
 			fct:    stats.NewFCTAggregator(),
 		}
-		if len(class.Path) > 0 {
-			cs.fwd = resolveRoute(network, class.Path)
-			cs.rev = resolveRoute(network, class.ReversePath)
-		} else {
-			cs.fwd = []*netsim.Link{network.Link()}
-		}
-		probe := class.NewAlgorithm()
+		cs.fwd = resolveRoute(network, class.Path)
+		cs.rev = resolveRoute(network, class.ReversePath)
+		probe := newAlgorithm(class.NewAlgorithm)
 		if probe == nil {
-			return nil, fmt.Errorf("harness: churn class %d NewAlgorithm returned nil", ci)
+			return nil, fmt.Errorf("harness: churn class %d has no algorithm", ci)
 		}
 		cs.algoName = probe.Name()
 		proc, err := workload.NewArrivalProcess(workload.ArrivalSpec{

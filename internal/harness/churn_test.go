@@ -16,16 +16,15 @@ import (
 // constant-size transfers arriving every interarrival seconds.
 func churnDumbbell(interarrival, sizeBytes float64, maxLive int) Scenario {
 	return Scenario{
-		LinkRateBps:   15e6,
-		Queue:         QueueDropTail,
-		QueueCapacity: 250,
-		Duration:      10 * sim.Second,
-		MaxLiveFlows:  maxLive,
+		Links:        dumbbell(15e6, dropTailFactory(250)),
+		Duration:     10 * sim.Second,
+		MaxLiveFlows: maxLive,
 		Churn: []ChurnClass{{
 			Interarrival: workload.Constant{Value: interarrival},
 			Size:         workload.Constant{Value: sizeBytes},
 			RTTMs:        60,
 			NewAlgorithm: func() cc.Algorithm { return newreno.New() },
+			Path:         bottleneck,
 		}},
 	}
 }
@@ -106,7 +105,7 @@ func TestChurnMaxLiveFlowsCap(t *testing.T) {
 	// Arrivals every 10 ms of large transfers over a slow link: the
 	// population hits the cap almost immediately.
 	s := churnDumbbell(0.01, 1e6, 4)
-	s.LinkRateBps = 2e6
+	s.Links[0].RateBps = 2e6
 	res, err := Run(s, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -187,14 +186,13 @@ func TestChurnAlongsideStaticFlows(t *testing.T) {
 // a static flow's results with and without an inert churn class match.
 func TestChurnStaticUnperturbed(t *testing.T) {
 	base := Scenario{
-		LinkRateBps:   15e6,
-		Queue:         QueueDropTail,
-		QueueCapacity: 250,
-		Duration:      5 * sim.Second,
+		Links:    dumbbell(15e6, dropTailFactory(250)),
+		Duration: 5 * sim.Second,
 		Flows: []FlowSpec{{
 			RTTMs:        100,
 			Workload:     workload.DumbbellDefault(),
 			NewAlgorithm: func() cc.Algorithm { return newreno.New() },
+			Path:         bottleneck,
 		}},
 	}
 	plain, err := Run(base, 9)
@@ -208,6 +206,7 @@ func TestChurnStaticUnperturbed(t *testing.T) {
 		Size:         workload.Constant{Value: 1e4},
 		RTTMs:        60,
 		NewAlgorithm: func() cc.Algorithm { return newreno.New() },
+		Path:         bottleneck,
 	}}
 	mixed, err := Run(withChurn, 9)
 	if err != nil {
@@ -218,10 +217,12 @@ func TestChurnStaticUnperturbed(t *testing.T) {
 	}
 }
 
+// TestChurnValidation checks that a run rejects churn classes the network
+// and workload constructors cannot realize. Routes are attached at each
+// arrival, so route errors surface at the first one: every case runs the
+// scenario.
 func TestChurnValidation(t *testing.T) {
 	algo := func() cc.Algorithm { return newreno.New() }
-	inter := workload.Constant{Value: 1.0}
-	size := workload.Constant{Value: 1e4}
 	cases := []struct {
 		name string
 		mut  func(*Scenario)
@@ -233,29 +234,25 @@ func TestChurnValidation(t *testing.T) {
 		{"negative max live", func(s *Scenario) { s.MaxLiveFlows = -1 }},
 		{"negative max arrivals", func(s *Scenario) { s.Churn[0].MaxArrivals = -1 }},
 		{"path without topology", func(s *Scenario) { s.Churn[0].Path = []string{"hop1"} }},
+		{"no path", func(s *Scenario) { s.Churn[0].Path = nil }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := churnDumbbell(1, 1e4, 0)
-			s.Churn[0].Interarrival = inter
-			s.Churn[0].Size = size
-			s.Churn[0].NewAlgorithm = algo
 			tc.mut(&s)
-			if err := s.Validate(); err == nil {
+			if _, err := Run(s, 1); err == nil {
 				t.Error("invalid churn scenario accepted")
 			}
 		})
 	}
 	// A churn class referencing an unknown topology link must be rejected.
 	s := parkingLotScenario(10e6, 6e6, algo)
-	s.Churn = []ChurnClass{{Interarrival: inter, Size: size, RTTMs: 40, NewAlgorithm: algo, Path: []string{"nope"}}}
-	if err := s.Validate(); err == nil {
+	s.Churn = []ChurnClass{{Interarrival: workload.Constant{Value: 1}, Size: workload.Constant{Value: 1e4}, RTTMs: 40, NewAlgorithm: algo, Path: []string{"nope"}}}
+	if _, err := Run(s, 1); err == nil {
 		t.Error("churn path over unknown link accepted")
 	}
 	// Churn-only scenarios (no static flows) are valid.
-	s2 := churnDumbbell(1, 1e4, 0)
-	s2.Flows = nil
-	if err := s2.Validate(); err != nil {
+	if _, err := Run(churnDumbbell(1, 1e4, 0), 1); err != nil {
 		t.Errorf("churn-only scenario rejected: %v", err)
 	}
 }

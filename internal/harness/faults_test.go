@@ -15,16 +15,16 @@ import (
 // faultDumbbell is a saturated single-bottleneck dumbbell with an optional
 // fault schedule on the bottleneck.
 func faultDumbbell(sched *faults.Schedule) Scenario {
+	links := dumbbell(10e6, dropTailFactory(250))
+	links[0].Faults = sched
 	return Scenario{
-		LinkRateBps:   10e6,
-		Queue:         QueueDropTail,
-		QueueCapacity: 250,
-		Duration:      7 * sim.Second,
-		Faults:        sched,
+		Links:    links,
+		Duration: 7 * sim.Second,
 		Flows: []FlowSpec{{
 			RTTMs:        100,
 			Workload:     alwaysOn(),
 			NewAlgorithm: func() cc.Algorithm { return newreno.New() },
+			Path:         bottleneck,
 		}},
 	}
 }
@@ -164,15 +164,18 @@ func TestTraceLinkOutageWastesOpportunities(t *testing.T) {
 		trace[i] = sim.Time(i+1) * sim.Millisecond
 	}
 	s := Scenario{
-		Trace:         trace,
-		Queue:         QueueDropTail,
-		QueueCapacity: 250,
-		Duration:      3 * sim.Second,
-		Faults:        &faults.Schedule{Outages: []faults.Outage{{StartS: 1, DurationS: 1}}},
+		Links: []LinkDef{{
+			Name:     "bottleneck",
+			Trace:    trace,
+			NewQueue: dropTailFactory(250),
+			Faults:   &faults.Schedule{Outages: []faults.Outage{{StartS: 1, DurationS: 1}}},
+		}},
+		Duration: 3 * sim.Second,
 		Flows: []FlowSpec{{
 			RTTMs:        60,
 			Workload:     alwaysOn(),
 			NewAlgorithm: func() cc.Algorithm { return newreno.New() },
+			Path:         bottleneck,
 		}},
 	}
 	var deliveries []sim.Time
@@ -253,18 +256,18 @@ func TestChurnOutageGenerationFencing(t *testing.T) {
 		Outages: []faults.Outage{{StartS: 1, DurationS: 1}, {StartS: 3, DurationS: 0.5}},
 		Loss:    &faults.GilbertElliott{PGoodBad: 0.05, PBadGood: 0.3, LossBad: 0.8},
 	}
+	links := dumbbell(10e6, dropTailFactory(100))
+	links[0].Faults = sched
 	spec := Scenario{
-		LinkRateBps:   10e6,
-		Queue:         QueueDropTail,
-		QueueCapacity: 100,
-		Duration:      5 * sim.Second,
-		MaxLiveFlows:  16,
-		Faults:        sched,
+		Links:        links,
+		Duration:     5 * sim.Second,
+		MaxLiveFlows: 16,
 		Churn: []ChurnClass{{
 			Interarrival: workload.Constant{Value: 0.05},
 			Size:         workload.Constant{Value: 20e3},
 			RTTMs:        60,
 			NewAlgorithm: func() cc.Algorithm { return newreno.New() },
+			Path:         bottleneck,
 		}},
 	}
 	run := func() Result {

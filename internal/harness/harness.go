@@ -1,15 +1,17 @@
 // Package harness assembles complete simulation runs from the lower-level
-// pieces: it wires congestion-control transports, workload switchers and the
-// dumbbell network together, runs the simulation, and reports per-flow
-// metrics. Both the Remy optimizer (which scores candidate rule tables on
-// specimen networks) and the experiment harness (which regenerates the
-// paper's tables and figures) are built on it.
+// pieces: it builds the scenario's links (the paper's dumbbell is the
+// one-link case), wires congestion-control transports and workload switchers
+// onto routes across them, runs the simulation, and reports per-flow
+// metrics. Scenarios come from scenario.Spec.Compile; Spec.Validate is the
+// one validator of a run's configuration. Both the Remy optimizer (which
+// scores candidate rule tables on specimen networks) and the experiment
+// harness (which regenerates the paper's tables and figures) are built on
+// it.
 package harness
 
 import (
 	"fmt"
 
-	"repro/internal/aqm"
 	"repro/internal/cc"
 	"repro/internal/faults"
 	"repro/internal/netsim"
@@ -17,35 +19,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
-
-// QueueKind selects the bottleneck queue discipline for a scenario.
-type QueueKind int
-
-const (
-	// QueueDropTail is a plain tail-drop FIFO (the paper's default).
-	QueueDropTail QueueKind = iota
-	// QueueSfqCoDel is stochastic fair queueing with per-queue CoDel.
-	QueueSfqCoDel
-	// QueueXCP is the XCP router (tail-drop FIFO plus explicit feedback).
-	QueueXCP
-	// QueueECN is tail drop with DCTCP-style instantaneous ECN marking.
-	QueueECN
-)
-
-func (k QueueKind) String() string {
-	switch k {
-	case QueueDropTail:
-		return "droptail"
-	case QueueSfqCoDel:
-		return "sfqcodel"
-	case QueueXCP:
-		return "xcp"
-	case QueueECN:
-		return "ecn"
-	default:
-		return fmt.Sprintf("QueueKind(%d)", int(k))
-	}
-}
 
 // FlowSpec describes one sender-receiver pair in a scenario.
 type FlowSpec struct {
@@ -63,15 +36,14 @@ type FlowSpec struct {
 	// capture per-session state (the optimizer attaches usage recorders this
 	// way).
 	NewAlgorithm func() cc.Algorithm
-	// Path and ReversePath route the flow across a multi-link topology
-	// (Scenario.Links) by link name. They are ignored — and must be empty —
-	// for single-bottleneck scenarios. An empty ReversePath gives the flow
-	// the paper's uncongested pure-delay ACK return path.
+	// Path and ReversePath route the flow across Scenario.Links by link
+	// name. Path is required; an empty ReversePath gives the flow the paper's
+	// uncongested pure-delay ACK return path.
 	Path        []string
 	ReversePath []string
 }
 
-// LinkDef describes one directed link of a multi-link topology scenario.
+// LinkDef describes one directed link of a scenario's topology.
 type LinkDef struct {
 	// Name identifies the link in flow routes.
 	Name string
@@ -101,44 +73,17 @@ type LinkResult struct {
 	FaultDrops int64
 }
 
-// Scenario is a complete simulation configuration.
+// Scenario is a complete simulation configuration: the compiled form of a
+// scenario.Spec, which validates it.
 type Scenario struct {
-	// LinkRateBps is the bottleneck rate; ignored when Trace is set.
-	LinkRateBps float64
-	// Trace makes the bottleneck trace-driven (cellular experiments).
-	Trace     []sim.Time
-	TraceLoop bool
-	// XCPCapacityBps overrides the capacity advertised to the XCP router;
-	// needed for trace-driven links where the paper supplies the long-term
-	// average rate. Defaults to LinkRateBps.
-	XCPCapacityBps float64
-
-	Queue         QueueKind
-	QueueCapacity int
-	// ECNThresholdPackets is the marking threshold for QueueECN.
-	ECNThresholdPackets int
-	// NewQueue, when set, builds the bottleneck queue for this run and takes
-	// precedence over Queue/QueueCapacity/ECNThresholdPackets. The scenario
-	// package compiles registry-resolved queue disciplines into this hook, so
-	// new AQMs plug in without touching the harness. Queues exposing a
-	// Start(sim.Time) method (the XCP router's control loop) are started
-	// automatically.
-	NewQueue func(engine *sim.Engine) (netsim.Queue, error)
-
-	// Links, when non-empty, makes the scenario a multi-link topology: every
-	// flow routes over the named links via Path/ReversePath, and the
-	// single-bottleneck fields (LinkRateBps, Trace, Queue, NewQueue) are
-	// ignored. The first link is the "primary" one whose delivery counter
-	// feeds Result.Delivered, preserving the dumbbell's reporting shape.
+	// Links is the scenario's topology: every flow and churn class routes
+	// over the named links via Path/ReversePath. The first link is the
+	// "primary" one whose delivery counter feeds Result.Delivered; the
+	// paper's dumbbell is a single link named "bottleneck".
 	Links []LinkDef
 	// AckBytes is the acknowledgment packet size on reverse-path links
 	// (netsim.AckBytes if zero).
 	AckBytes int
-
-	// Faults, when set, attaches a deterministic fault schedule to the single
-	// bottleneck link. Topology scenarios declare faults per LinkDef instead;
-	// this field must be nil when Links is non-empty.
-	Faults *faults.Schedule
 
 	MTU      int
 	Duration sim.Time
@@ -154,7 +99,7 @@ type Scenario struct {
 	Churn []ChurnClass
 	// MaxLiveFlows caps the concurrently live churn population across all
 	// classes; arrivals beyond the cap are rejected (counted per class, not
-	// deferred). 0 means DefaultMaxLiveFlows. Static flows do not count
+	// deferred). 0 means DefaultMaxLiveFlows; negative is an error. Static flows do not count
 	// against the cap.
 	MaxLiveFlows int
 
@@ -185,125 +130,10 @@ type ChurnClass struct {
 	// incarnations (they are Reset at each spawn), so it is invoked once per
 	// concurrently-live flow, not once per arrival.
 	NewAlgorithm func() cc.Algorithm
-	// Path and ReversePath route spawned flows across a multi-link topology,
-	// exactly as in FlowSpec. They must be empty for single-bottleneck
-	// scenarios, where flows attach to the primary link.
+	// Path and ReversePath route spawned flows across Scenario.Links,
+	// exactly as in FlowSpec.
 	Path        []string
 	ReversePath []string
-}
-
-// Validate reports configuration errors.
-func (s Scenario) Validate() error {
-	if len(s.Flows) == 0 && len(s.Churn) == 0 {
-		return fmt.Errorf("harness: scenario has no flows")
-	}
-	if s.Duration <= 0 {
-		return fmt.Errorf("harness: scenario duration must be positive")
-	}
-	if s.MaxLiveFlows < 0 {
-		return fmt.Errorf("harness: negative max live flows")
-	}
-	if len(s.Links) > 0 {
-		names := make(map[string]bool, len(s.Links))
-		for i, l := range s.Links {
-			if l.Name == "" {
-				return fmt.Errorf("harness: link %d has no name", i)
-			}
-			if names[l.Name] {
-				return fmt.Errorf("harness: duplicate link %q", l.Name)
-			}
-			names[l.Name] = true
-			if len(l.Trace) == 0 && l.RateBps <= 0 {
-				return fmt.Errorf("harness: link %q needs a rate or a trace", l.Name)
-			}
-			if l.DelayMs < 0 {
-				return fmt.Errorf("harness: link %q has negative delay", l.Name)
-			}
-			if l.NewQueue == nil {
-				return fmt.Errorf("harness: link %q has no queue factory", l.Name)
-			}
-			if err := l.Faults.Validate(); err != nil {
-				return fmt.Errorf("harness: link %q: %w", l.Name, err)
-			}
-		}
-		if s.Faults != nil {
-			return fmt.Errorf("harness: topology scenarios declare faults per link, not at the scenario level")
-		}
-		for i, f := range s.Flows {
-			if len(f.Path) == 0 {
-				return fmt.Errorf("harness: flow %d has no path through the topology", i)
-			}
-			for _, name := range f.Path {
-				if !names[name] {
-					return fmt.Errorf("harness: flow %d path references unknown link %q", i, name)
-				}
-			}
-			for _, name := range f.ReversePath {
-				if !names[name] {
-					return fmt.Errorf("harness: flow %d reverse path references unknown link %q", i, name)
-				}
-			}
-		}
-		for ci, c := range s.Churn {
-			if len(c.Path) == 0 {
-				return fmt.Errorf("harness: churn class %d has no path through the topology", ci)
-			}
-			for _, name := range c.Path {
-				if !names[name] {
-					return fmt.Errorf("harness: churn class %d path references unknown link %q", ci, name)
-				}
-			}
-			for _, name := range c.ReversePath {
-				if !names[name] {
-					return fmt.Errorf("harness: churn class %d reverse path references unknown link %q", ci, name)
-				}
-			}
-		}
-	} else {
-		if len(s.Trace) == 0 && s.LinkRateBps <= 0 {
-			return fmt.Errorf("harness: need a link rate or a trace")
-		}
-		if err := s.Faults.Validate(); err != nil {
-			return fmt.Errorf("harness: bottleneck faults: %w", err)
-		}
-		for i, f := range s.Flows {
-			if len(f.Path) > 0 || len(f.ReversePath) > 0 {
-				return fmt.Errorf("harness: flow %d routes over links but the scenario defines none", i)
-			}
-		}
-		for ci, c := range s.Churn {
-			if len(c.Path) > 0 || len(c.ReversePath) > 0 {
-				return fmt.Errorf("harness: churn class %d routes over links but the scenario defines none", ci)
-			}
-		}
-	}
-	if s.QueueCapacity < 0 {
-		return fmt.Errorf("harness: negative queue capacity")
-	}
-	for i, f := range s.Flows {
-		if f.RTTMs < 0 {
-			return fmt.Errorf("harness: flow %d has negative RTT", i)
-		}
-		if f.NewAlgorithm == nil {
-			return fmt.Errorf("harness: flow %d has no algorithm", i)
-		}
-		if err := f.Workload.Validate(); err != nil {
-			return fmt.Errorf("harness: flow %d workload: %w", i, err)
-		}
-	}
-	for ci, c := range s.Churn {
-		if c.RTTMs < 0 {
-			return fmt.Errorf("harness: churn class %d has negative RTT", ci)
-		}
-		if c.NewAlgorithm == nil {
-			return fmt.Errorf("harness: churn class %d has no algorithm", ci)
-		}
-		spec := workload.ArrivalSpec{Interarrival: c.Interarrival, Size: c.Size, MaxArrivals: c.MaxArrivals}
-		if err := spec.Validate(); err != nil {
-			return fmt.Errorf("harness: churn class %d: %w", ci, err)
-		}
-	}
-	return nil
 }
 
 // FlowResult reports one flow's outcome from one run.
@@ -350,14 +180,14 @@ type Result struct {
 	// queues, delivered by the primary link, dropped on arrival at any queue.
 	Offered, Delivered, Dropped int64
 	// AcksDropped counts acknowledgments dropped on reverse-path links, at
-	// enqueue (tail drop) or dequeue (CoDel) time. Always zero for
-	// single-bottleneck scenarios, whose ACK path is uncongested.
+	// enqueue (tail drop) or dequeue (CoDel) time. Always zero when no flow
+	// declares a ReversePath, as in the dumbbell, whose ACK path is
+	// uncongested.
 	AcksDropped int64
 	// FaultDropped counts packets (data and acks) destroyed by fault-injected
 	// burst loss across all links, separate from the queue-drop counters.
 	FaultDropped int64
-	// Links reports per-link counters in definition order (for
-	// single-bottleneck scenarios: the one bottleneck link).
+	// Links reports per-link counters in definition order.
 	Links []LinkResult
 }
 
@@ -374,7 +204,8 @@ func Run(s Scenario, seed int64) (Result, error) {
 	return ss.Run(seed)
 }
 
-// resolveRoute maps link names (already validated) to the network's links.
+// resolveRoute maps link names to the network's links; an unknown name maps
+// to nil, which the network rejects when the route is attached.
 func resolveRoute(n *netsim.Network, names []string) []*netsim.Link {
 	if len(names) == 0 {
 		return nil
@@ -386,14 +217,17 @@ func resolveRoute(n *netsim.Network, names []string) []*netsim.Link {
 	return out
 }
 
-// buildTopologyNetwork materializes the scenario's multi-link topology.
-func buildTopologyNetwork(s Scenario, engine *sim.Engine, mtu int) (*netsim.Network, []netsim.Queue, error) {
+// buildNetwork materializes the scenario's links.
+func buildNetwork(s Scenario, engine *sim.Engine, mtu int) (*netsim.Network, []netsim.Queue, error) {
 	network, err := netsim.NewGraph(engine, netsim.GraphConfig{MTU: mtu, AckBytes: s.AckBytes})
 	if err != nil {
 		return nil, nil, err
 	}
 	queues := make([]netsim.Queue, 0, len(s.Links))
 	for _, def := range s.Links {
+		if def.NewQueue == nil {
+			return nil, nil, fmt.Errorf("harness: link %q has no queue factory", def.Name)
+		}
 		q, err := def.NewQueue(engine)
 		if err != nil {
 			return nil, nil, err
@@ -414,73 +248,4 @@ func buildTopologyNetwork(s Scenario, engine *sim.Engine, mtu int) (*netsim.Netw
 		queues = append(queues, q)
 	}
 	return network, queues, nil
-}
-
-// buildBottleneckNetwork materializes the classic single-bottleneck network.
-func buildBottleneckNetwork(s Scenario, engine *sim.Engine, capacity, mtu int) (*netsim.Network, []netsim.Queue, error) {
-	// Build the bottleneck queue: through the caller-supplied factory when
-	// set, otherwise from the built-in queue kinds.
-	var queue netsim.Queue
-	if s.NewQueue != nil {
-		q, err := s.NewQueue(engine)
-		if err != nil {
-			return nil, nil, err
-		}
-		if q == nil {
-			return nil, nil, fmt.Errorf("harness: NewQueue returned a nil queue")
-		}
-		queue = q
-	} else {
-		switch s.Queue {
-		case QueueDropTail:
-			q, err := aqm.NewDropTail(capacity)
-			if err != nil {
-				return nil, nil, err
-			}
-			queue = q
-		case QueueSfqCoDel:
-			q, err := aqm.NewSfqCoDel(1024, capacity)
-			if err != nil {
-				return nil, nil, err
-			}
-			queue = q
-		case QueueECN:
-			threshold := s.ECNThresholdPackets
-			if threshold <= 0 {
-				threshold = 65
-			}
-			q, err := aqm.NewECNMarking(capacity, threshold)
-			if err != nil {
-				return nil, nil, err
-			}
-			queue = q
-		case QueueXCP:
-			capBps := s.XCPCapacityBps
-			if capBps <= 0 {
-				capBps = s.LinkRateBps
-			}
-			if capBps <= 0 {
-				return nil, nil, fmt.Errorf("harness: XCP queue needs a capacity estimate")
-			}
-			q, err := aqm.NewXCPQueue(engine, capacity, capBps)
-			if err != nil {
-				return nil, nil, err
-			}
-			queue = q
-		default:
-			return nil, nil, fmt.Errorf("harness: unknown queue kind %v", s.Queue)
-		}
-	}
-
-	network, err := netsim.NewNetwork(engine, netsim.Config{
-		LinkRateBps: s.LinkRateBps,
-		Trace:       s.Trace,
-		TraceLoop:   s.TraceLoop,
-		Queue:       queue,
-		MTU:         mtu,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return network, []netsim.Queue{queue}, nil
 }

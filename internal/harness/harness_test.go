@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/aqm"
 	"repro/internal/cc"
 	"repro/internal/cc/cubic"
 	"repro/internal/cc/dctcp"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/cc/vegas"
 	"repro/internal/cc/xcp"
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -26,93 +28,94 @@ func alwaysOn() workload.Spec {
 	}
 }
 
+// bottleneck is the route of every flow over a dumbbell.
+var bottleneck = []string{"bottleneck"}
+
+// dumbbell is the paper's Figure 2 topology: one link, named "bottleneck",
+// whose queue newQueue builds per run.
+func dumbbell(rateBps float64, newQueue func(*sim.Engine) (netsim.Queue, error)) []LinkDef {
+	return []LinkDef{{Name: "bottleneck", RateBps: rateBps, NewQueue: newQueue}}
+}
+
 func flowsOf(n int, rttMs float64, algo func() cc.Algorithm) []FlowSpec {
 	out := make([]FlowSpec, n)
 	for i := range out {
-		out[i] = FlowSpec{RTTMs: rttMs, Workload: alwaysOn(), NewAlgorithm: algo}
+		out[i] = FlowSpec{RTTMs: rttMs, Workload: alwaysOn(), NewAlgorithm: algo, Path: bottleneck}
 	}
 	return out
 }
 
-func TestScenarioValidate(t *testing.T) {
-	if err := (Scenario{}).Validate(); err == nil {
-		t.Error("empty scenario accepted")
-	}
-	s := Scenario{
-		LinkRateBps: 1e6,
-		Duration:    sim.Second,
-		Flows:       flowsOf(1, 100, func() cc.Algorithm { return newreno.New() }),
-	}
-	if err := s.Validate(); err != nil {
-		t.Errorf("valid scenario rejected: %v", err)
-	}
-	bad := s
-	bad.Duration = 0
-	if bad.Validate() == nil {
-		t.Error("zero duration accepted")
-	}
-	bad = s
-	bad.LinkRateBps = 0
-	if bad.Validate() == nil {
-		t.Error("missing rate accepted")
-	}
-	bad = s
-	bad.Flows = []FlowSpec{{RTTMs: -1, Workload: alwaysOn(), NewAlgorithm: func() cc.Algorithm { return newreno.New() }}}
-	if bad.Validate() == nil {
-		t.Error("negative RTT accepted")
-	}
-	bad = s
-	bad.Flows = []FlowSpec{{RTTMs: 10, Workload: alwaysOn()}}
-	if bad.Validate() == nil {
-		t.Error("missing algorithm accepted")
-	}
-	bad = s
-	bad.Flows = []FlowSpec{{RTTMs: 10, Workload: workload.Spec{}, NewAlgorithm: func() cc.Algorithm { return newreno.New() }}}
-	if bad.Validate() == nil {
-		t.Error("invalid workload accepted")
-	}
-	if QueueDropTail.String() == "" || QueueSfqCoDel.String() == "" || QueueXCP.String() == "" ||
-		QueueECN.String() == "" || QueueKind(42).String() == "" {
-		t.Error("QueueKind.String")
+// validScenario is a one-flow dumbbell that builds and runs.
+func validScenario() Scenario {
+	return Scenario{
+		Links:    dumbbell(1e6, dropTailFactory(100)),
+		Duration: sim.Second,
+		Flows:    flowsOf(1, 100, func() cc.Algorithm { return newreno.New() }),
 	}
 }
 
+// expectRunErrors applies each mutation to a valid scenario and checks that
+// building the run rejects the result.
+func expectRunErrors(t *testing.T, cases []struct {
+	name string
+	mut  func(*Scenario)
+}) {
+	t.Helper()
+	for _, tc := range cases {
+		s := validScenario()
+		tc.mut(&s)
+		if _, err := Run(s, 1); err == nil {
+			t.Errorf("%s: scenario accepted", tc.name)
+		}
+	}
+}
+
+// TestScenarioValidate checks that a scenario is validated as its run is
+// built: links without service, flows with a bad route, RTT, algorithm or
+// workload are rejected, and a well-formed scenario is accepted.
+func TestScenarioValidate(t *testing.T) {
+	if _, err := Run(validScenario(), 1); err != nil {
+		t.Fatalf("valid scenario rejected: %v", err)
+	}
+	expectRunErrors(t, []struct {
+		name string
+		mut  func(*Scenario)
+	}{
+		{"no links", func(s *Scenario) { s.Links = nil }},
+		{"zero rate", func(s *Scenario) { s.Links[0].RateBps = 0 }},
+		{"no path", func(s *Scenario) { s.Flows[0].Path = nil }},
+		{"unknown link", func(s *Scenario) { s.Flows[0].Path = []string{"nope"} }},
+		{"negative rtt", func(s *Scenario) { s.Flows[0].RTTMs = -1 }},
+		{"no algorithm", func(s *Scenario) { s.Flows[0].NewAlgorithm = nil }},
+		{"invalid workload", func(s *Scenario) { s.Flows[0].Workload = workload.Spec{} }},
+	})
+}
+
+// TestRunErrors checks that building a run surfaces failures of the
+// constructors a scenario supplies: queue factories, fault schedules and
+// algorithm constructors.
 func TestRunErrors(t *testing.T) {
-	if _, err := Run(Scenario{}, 1); err == nil {
-		t.Error("invalid scenario accepted")
-	}
-	s := Scenario{
-		LinkRateBps: 1e6,
-		Duration:    sim.Second,
-		Queue:       QueueKind(42),
-		Flows:       flowsOf(1, 100, func() cc.Algorithm { return newreno.New() }),
-	}
-	if _, err := Run(s, 1); err == nil {
-		t.Error("unknown queue kind accepted")
-	}
-	s.Queue = QueueXCP
-	s.LinkRateBps = 0
-	s.Trace = []sim.Time{sim.Millisecond}
-	if _, err := Run(s, 1); err == nil {
-		t.Error("XCP without capacity estimate accepted")
-	}
-	nilAlgo := s
-	nilAlgo.Queue = QueueDropTail
-	nilAlgo.LinkRateBps = 1e6
-	nilAlgo.Trace = nil
-	nilAlgo.Flows = []FlowSpec{{RTTMs: 10, Workload: alwaysOn(), NewAlgorithm: func() cc.Algorithm { return nil }}}
-	if _, err := Run(nilAlgo, 1); err == nil {
-		t.Error("nil algorithm accepted")
-	}
+	expectRunErrors(t, []struct {
+		name string
+		mut  func(*Scenario)
+	}{
+		{"no queue factory", func(s *Scenario) { s.Links[0].NewQueue = nil }},
+		{"nil queue", func(s *Scenario) {
+			s.Links[0].NewQueue = func(*sim.Engine) (netsim.Queue, error) { return nil, nil }
+		}},
+		{"queue factory error", func(s *Scenario) { s.Links[0].NewQueue = dropTailFactory(0) }},
+		{"bad fault schedule", func(s *Scenario) {
+			s.Links[0].Faults = &faults.Schedule{Outages: []faults.Outage{{StartS: -1, DurationS: 1}}}
+		}},
+		{"nil algorithm", func(s *Scenario) { s.Flows[0].NewAlgorithm = func() cc.Algorithm { return nil } }},
+	})
 }
 
 func TestRunNewRenoFillsDumbbell(t *testing.T) {
 	s := Scenario{
-		LinkRateBps:   15e6,
-		Queue:         QueueDropTail,
-		QueueCapacity: 1000,
-		Duration:      20 * sim.Second,
-		Flows:         flowsOf(1, 150, func() cc.Algorithm { return newreno.New() }),
+		Links:    dumbbell(15e6, dropTailFactory(1000)),
+		Duration: 20 * sim.Second,
+		Flows:    flowsOf(1, 150, func() cc.Algorithm { return newreno.New() }),
 	}
 	res, err := Run(s, 1)
 	if err != nil {
@@ -144,11 +147,9 @@ func TestRunNewRenoFillsDumbbell(t *testing.T) {
 
 func TestRunFairnessAmongIdenticalSenders(t *testing.T) {
 	s := Scenario{
-		LinkRateBps:   15e6,
-		Queue:         QueueDropTail,
-		QueueCapacity: 1000,
-		Duration:      30 * sim.Second,
-		Flows:         flowsOf(4, 150, func() cc.Algorithm { return newreno.New() }),
+		Links:    dumbbell(15e6, dropTailFactory(1000)),
+		Duration: 30 * sim.Second,
+		Flows:    flowsOf(4, 150, func() cc.Algorithm { return newreno.New() }),
 	}
 	res, err := Run(s, 2)
 	if err != nil {
@@ -171,10 +172,8 @@ func TestRunFairnessAmongIdenticalSenders(t *testing.T) {
 
 func TestRunVegasKeepsQueuesSmallerThanCubic(t *testing.T) {
 	base := Scenario{
-		LinkRateBps:   15e6,
-		Queue:         QueueDropTail,
-		QueueCapacity: 1000,
-		Duration:      30 * sim.Second,
+		Links:    dumbbell(15e6, dropTailFactory(1000)),
+		Duration: 30 * sim.Second,
 	}
 	vegasScenario := base
 	vegasScenario.Flows = flowsOf(4, 150, func() cc.Algorithm { return vegas.New() })
@@ -201,11 +200,11 @@ func TestRunVegasKeepsQueuesSmallerThanCubic(t *testing.T) {
 
 func TestRunXCPQueueGivesHighThroughputLowLoss(t *testing.T) {
 	s := Scenario{
-		LinkRateBps:   15e6,
-		Queue:         QueueXCP,
-		QueueCapacity: 1000,
-		Duration:      20 * sim.Second,
-		Flows:         flowsOf(4, 150, func() cc.Algorithm { return xcp.New(netsim.MTU) }),
+		Links: dumbbell(15e6, func(e *sim.Engine) (netsim.Queue, error) {
+			return aqm.NewXCPQueue(e, 1000, 15e6)
+		}),
+		Duration: 20 * sim.Second,
+		Flows:    flowsOf(4, 150, func() cc.Algorithm { return xcp.New(netsim.MTU) }),
 	}
 	res, err := Run(s, 4)
 	if err != nil {
@@ -227,12 +226,11 @@ func TestRunXCPQueueGivesHighThroughputLowLoss(t *testing.T) {
 
 func TestRunDCTCPOverECNQueue(t *testing.T) {
 	s := Scenario{
-		LinkRateBps:         100e6,
-		Queue:               QueueECN,
-		QueueCapacity:       1000,
-		ECNThresholdPackets: 65,
-		Duration:            10 * sim.Second,
-		Flows:               flowsOf(8, 4, func() cc.Algorithm { return dctcp.New() }),
+		Links: dumbbell(100e6, func(*sim.Engine) (netsim.Queue, error) {
+			return aqm.NewECNMarking(1000, 65)
+		}),
+		Duration: 10 * sim.Second,
+		Flows:    flowsOf(8, 4, func() cc.Algorithm { return dctcp.New() }),
 	}
 	res, err := Run(s, 5)
 	if err != nil {
@@ -265,11 +263,9 @@ func TestRunRemySenderOnDesignRange(t *testing.T) {
 
 	run := func(tree *core.WhiskerTree) Result {
 		s := Scenario{
-			LinkRateBps:   15e6,
-			Queue:         QueueDropTail,
-			QueueCapacity: 1000,
-			Duration:      20 * sim.Second,
-			Flows:         flowsOf(2, 150, func() cc.Algorithm { return core.NewSender(tree) }),
+			Links:    dumbbell(15e6, dropTailFactory(1000)),
+			Duration: 20 * sim.Second,
+			Flows:    flowsOf(2, 150, func() cc.Algorithm { return core.NewSender(tree) }),
 		}
 		res, err := Run(s, 6)
 		if err != nil {
@@ -309,13 +305,11 @@ func TestRunRemySenderOnDesignRange(t *testing.T) {
 
 func TestRunDeterministicAcrossCalls(t *testing.T) {
 	s := Scenario{
-		LinkRateBps:   10e6,
-		Queue:         QueueDropTail,
-		QueueCapacity: 500,
-		Duration:      10 * sim.Second,
+		Links:    dumbbell(10e6, dropTailFactory(500)),
+		Duration: 10 * sim.Second,
 		Flows: []FlowSpec{
-			{RTTMs: 100, Workload: workload.Spec{Mode: workload.ByBytes, On: workload.Exponential{MeanValue: 100e3}, Off: workload.Exponential{MeanValue: 0.5}}, NewAlgorithm: func() cc.Algorithm { return cubic.New() }},
-			{RTTMs: 100, Workload: workload.Spec{Mode: workload.ByBytes, On: workload.Exponential{MeanValue: 100e3}, Off: workload.Exponential{MeanValue: 0.5}}, NewAlgorithm: func() cc.Algorithm { return newreno.New() }},
+			{RTTMs: 100, Workload: workload.Spec{Mode: workload.ByBytes, On: workload.Exponential{MeanValue: 100e3}, Off: workload.Exponential{MeanValue: 0.5}}, NewAlgorithm: func() cc.Algorithm { return cubic.New() }, Path: bottleneck},
+			{RTTMs: 100, Workload: workload.Spec{Mode: workload.ByBytes, On: workload.Exponential{MeanValue: 100e3}, Off: workload.Exponential{MeanValue: 0.5}}, NewAlgorithm: func() cc.Algorithm { return newreno.New() }, Path: bottleneck},
 		},
 	}
 	a, err := Run(s, 42)
@@ -350,10 +344,8 @@ func TestRunDeterministicAcrossCalls(t *testing.T) {
 
 func TestRunOnOffWorkloadAccounting(t *testing.T) {
 	s := Scenario{
-		LinkRateBps:   10e6,
-		Queue:         QueueDropTail,
-		QueueCapacity: 1000,
-		Duration:      60 * sim.Second,
+		Links:    dumbbell(10e6, dropTailFactory(1000)),
+		Duration: 60 * sim.Second,
 		Flows: []FlowSpec{{
 			RTTMs: 100,
 			Workload: workload.Spec{
@@ -362,6 +354,7 @@ func TestRunOnOffWorkloadAccounting(t *testing.T) {
 				Off:  workload.Exponential{MeanValue: 1},
 			},
 			NewAlgorithm: func() cc.Algorithm { return newreno.New() },
+			Path:         bottleneck,
 		}},
 	}
 	res, err := Run(s, 7)
@@ -392,12 +385,9 @@ func TestRunTraceDrivenScenario(t *testing.T) {
 		trace = append(trace, sim.Time(ms)*sim.Millisecond)
 	}
 	s := Scenario{
-		Trace:          trace,
-		XCPCapacityBps: 6e6,
-		Queue:          QueueDropTail,
-		QueueCapacity:  1000,
-		Duration:       10 * sim.Second,
-		Flows:          flowsOf(2, 50, func() cc.Algorithm { return cubic.New() }),
+		Links:    []LinkDef{{Name: "bottleneck", Trace: trace, NewQueue: dropTailFactory(1000)}},
+		Duration: 10 * sim.Second,
+		Flows:    flowsOf(2, 50, func() cc.Algorithm { return cubic.New() }),
 	}
 	res, err := Run(s, 8)
 	if err != nil {
@@ -418,12 +408,10 @@ func TestRunTraceDrivenScenario(t *testing.T) {
 func TestRunOnDeliverHook(t *testing.T) {
 	count := 0
 	s := Scenario{
-		LinkRateBps:   10e6,
-		Queue:         QueueDropTail,
-		QueueCapacity: 100,
-		Duration:      2 * sim.Second,
-		Flows:         flowsOf(1, 50, func() cc.Algorithm { return newreno.New() }),
-		OnDeliver:     func(p *netsim.Packet, now sim.Time) { count++ },
+		Links:     dumbbell(10e6, dropTailFactory(100)),
+		Duration:  2 * sim.Second,
+		Flows:     flowsOf(1, 50, func() cc.Algorithm { return newreno.New() }),
+		OnDeliver: func(p *netsim.Packet, now sim.Time) { count++ },
 	}
 	if _, err := Run(s, 9); err != nil {
 		t.Fatal(err)

@@ -20,15 +20,19 @@ import (
 // engine's calendar buckets and slab, the network's packet pool, the
 // transports' maps and the churn pools all persist across runs.
 //
+// Flows are always routed: every static flow and churn class follows its
+// Path (and optional ReversePath) over the scenario's Links, a dumbbell's
+// single link included.
+//
 // The campaign and optimizer layers pump thousands of repetitions through
 // pooled sessions; TestSessionReuseMatchesFresh pins warm-vs-fresh equality
 // across schemes and queue disciplines, and TestCampaignSteadyStateAllocs
 // pins the allocation claim.
 //
 // Reuse requires every mutable component to be resettable. All queue
-// disciplines in internal/aqm implement Reset; a scenario whose NewQueue
-// returns a custom discipline without a Reset method is still safe for a
-// single Run (harness.Run builds a throwaway session) but must not be reused.
+// disciplines in internal/aqm implement Reset; a link whose NewQueue returns
+// a custom discipline without a Reset method is still safe for a single Run
+// (harness.Run builds a throwaway session) but must not be reused.
 //
 // A Session, like the engine it wraps, is not safe for concurrent use.
 type Session struct {
@@ -58,29 +62,13 @@ func NewSessionOn(engine *sim.Engine, s Scenario) (*Session, error) {
 	if engine == nil {
 		return nil, fmt.Errorf("harness: NewSessionOn requires an engine")
 	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-
-	capacity := s.QueueCapacity
-	if capacity <= 0 {
-		capacity = 1000
-	}
 	mtu := s.MTU
 	if mtu <= 0 {
 		mtu = netsim.MTU
 	}
 
 	ss := &Session{spec: s, engine: engine, mtu: mtu}
-
-	var network *netsim.Network
-	var queues []netsim.Queue
-	var err error
-	if len(s.Links) > 0 {
-		network, queues, err = buildTopologyNetwork(s, engine, mtu)
-	} else {
-		network, queues, err = buildBottleneckNetwork(s, engine, capacity, mtu)
-	}
+	network, queues, err := buildNetwork(s, engine, mtu)
 	if err != nil {
 		return nil, err
 	}
@@ -90,24 +78,16 @@ func NewSessionOn(engine *sim.Engine, s Scenario) (*Session, error) {
 
 	// Compile and attach fault schedules (nil entries leave links fault-free;
 	// an all-nil scenario allocates nothing here).
-	schedules := make([]*faults.Schedule, 0, len(network.Links()))
-	if len(s.Links) > 0 {
-		for i := range s.Links {
-			schedules = append(schedules, s.Links[i].Faults)
-		}
-	} else {
-		schedules = append(schedules, s.Faults)
-	}
-	for i, sched := range schedules {
-		state, err := faults.Compile(sched)
+	for i := range s.Links {
+		state, err := faults.Compile(s.Links[i].Faults)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("harness: link %q: %w", s.Links[i].Name, err)
 		}
 		if state == nil {
 			continue
 		}
 		if ss.linkFaults == nil {
-			ss.linkFaults = make([]*faults.LinkState, len(schedules))
+			ss.linkFaults = make([]*faults.LinkState, len(s.Links))
 		}
 		ss.linkFaults[i] = state
 		network.Links()[i].SetFaults(state)
@@ -137,21 +117,17 @@ func NewSessionOn(engine *sim.Engine, s Scenario) (*Session, error) {
 			transport.OnAck(a, now)
 		})
 		fs.oneWay = sim.FromMillis(spec.RTTMs / 2)
-		if len(spec.Path) > 0 {
-			fs.fwd = resolveRoute(network, spec.Path)
-			fs.rev = resolveRoute(network, spec.ReversePath)
-		} else {
-			fs.fwd = []*netsim.Link{network.Link()}
-		}
+		fs.fwd = resolveRoute(network, spec.Path)
+		fs.rev = resolveRoute(network, spec.ReversePath)
 		port, err := network.AttachFlowRoute(sender, fs.fwd, fs.rev, fs.oneWay)
 		if err != nil {
 			return nil, err
 		}
 		fs.port = port
 
-		algo := spec.NewAlgorithm()
+		algo := newAlgorithm(spec.NewAlgorithm)
 		if algo == nil {
-			return nil, fmt.Errorf("harness: flow %d NewAlgorithm returned nil", i)
+			return nil, fmt.Errorf("harness: flow %d has no algorithm", i)
 		}
 		transport, err = cc.NewTransport(engine, port, algo, mtu)
 		if err != nil {
@@ -184,12 +160,20 @@ func NewSessionOn(engine *sim.Engine, s Scenario) (*Session, error) {
 	// keep slots 0..len(flows)-1 and the static RNG split order is unchanged
 	// — a churn-free scenario runs the byte-identical event sequence it
 	// always has. Its arrival processes likewise get placeholder streams.
-	churn, err := newChurnRuntime(&ss.spec, engine, network, placeholder, mtu)
+	ss.churn, err = newChurnRuntime(&ss.spec, engine, network, placeholder, mtu)
 	if err != nil {
 		return nil, err
 	}
-	ss.churn = churn
 	return ss, nil
+}
+
+// newAlgorithm calls an algorithm constructor, treating a missing
+// constructor like one that returns nil.
+func newAlgorithm(fn func() cc.Algorithm) cc.Algorithm {
+	if fn == nil {
+		return nil
+	}
+	return fn()
 }
 
 // Engine returns the engine the session runs on.

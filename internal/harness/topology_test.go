@@ -74,58 +74,28 @@ func TestParkingLotConservation(t *testing.T) {
 	}
 }
 
-// TestTopologyValidation exercises the topology-specific validation errors.
+// TestTopologyValidation exercises the topology-specific construction
+// errors.
 func TestTopologyValidation(t *testing.T) {
 	base := parkingLotScenario(10e6, 6e6, func() cc.Algorithm { return newreno.New() })
-
-	s := base
-	s.Links = append([]LinkDef{}, base.Links...)
-	s.Links[1].Name = "hop1"
-	if err := s.Validate(); err == nil {
-		t.Error("duplicate link name accepted")
+	cases := []struct {
+		name string
+		mut  func(*Scenario)
+	}{
+		{"duplicate link name", func(s *Scenario) { s.Links[1].Name = "hop1" }},
+		{"flow without path", func(s *Scenario) { s.Flows[0].Path = nil }},
+		{"unknown path link", func(s *Scenario) { s.Flows[0].Path = []string{"hop1", "nope"} }},
+		{"unknown reverse path link", func(s *Scenario) { s.Flows[0].ReversePath = []string{"nope"} }},
+		{"negative link delay", func(s *Scenario) { s.Links[0].DelayMs = -1 }},
 	}
-
-	s = base
-	s.Flows = append([]FlowSpec{}, base.Flows...)
-	s.Flows[0].Path = nil
-	if err := s.Validate(); err == nil {
-		t.Error("flow without path accepted")
-	}
-
-	s = base
-	s.Flows = append([]FlowSpec{}, base.Flows...)
-	s.Flows[0].Path = []string{"hop1", "nope"}
-	if err := s.Validate(); err == nil {
-		t.Error("unknown path link accepted")
-	}
-
-	s = base
-	s.Flows = append([]FlowSpec{}, base.Flows...)
-	s.Flows[0].ReversePath = []string{"nope"}
-	if err := s.Validate(); err == nil {
-		t.Error("unknown reverse path link accepted")
-	}
-
-	s = base
-	s.Links = append([]LinkDef{}, base.Links...)
-	s.Links[0].NewQueue = nil
-	if err := s.Validate(); err == nil {
-		t.Error("link without queue factory accepted")
-	}
-
-	// A single-bottleneck scenario must reject routed flows.
-	s = Scenario{
-		LinkRateBps: 1e6,
-		Duration:    sim.Second,
-		Flows: []FlowSpec{{
-			RTTMs:        10,
-			Workload:     alwaysOn(),
-			NewAlgorithm: func() cc.Algorithm { return newreno.New() },
-			Path:         []string{"hop1"},
-		}},
-	}
-	if err := s.Validate(); err == nil {
-		t.Error("routed flow without topology links accepted")
+	for _, tc := range cases {
+		s := base
+		s.Links = append([]LinkDef{}, base.Links...)
+		s.Flows = append([]FlowSpec{}, base.Flows...)
+		tc.mut(&s)
+		if _, err := NewSession(s); err == nil {
+			t.Errorf("%s: topology accepted", tc.name)
+		}
 	}
 }
 

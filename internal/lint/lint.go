@@ -61,7 +61,6 @@ var resultAffecting = map[string]bool{
 	"workload":  true,
 	"scenario":  true,
 	"campaign":  true,
-	"distrib":   true,
 	"optimizer": true,
 	"exp":       true,
 	"core":      true,
@@ -97,14 +96,13 @@ func inResultAffectingPackage(pass *analysis.Pass) bool {
 }
 
 // inSimulationPackage reports whether the pass's package is one where wall
-// time must never leak into simulation logic. The campaign and distrib
-// packages are allowlisted: their executors legitimately use wall-clock
-// watchdogs and retry backoff around (not inside) simulations — the
-// simulations themselves run through scenario/optimizer code, where
-// walltime still applies.
+// time must never leak into simulation logic. The campaign package is
+// allowlisted: its executor legitimately uses wall-clock watchdogs and retry
+// backoff around (not inside) simulations — the simulations themselves run
+// through scenario/optimizer code, where walltime still applies.
 func inSimulationPackage(pass *analysis.Pass) bool {
 	for _, e := range pathElements(pass.Pkg.Path()) {
-		if e == "campaign" || e == "distrib" {
+		if e == "campaign" {
 			return false
 		}
 	}

@@ -31,18 +31,6 @@ func TestWallTimeAllowsCampaignWatchdog(t *testing.T) {
 	linttest.Run(t, fixture("walltime", "campaign"), "repro/internal/campaign", lint.WallTime)
 }
 
-func TestWallTimeAllowsDistribTimeouts(t *testing.T) {
-	// The distributed evaluation plane, like campaign, runs wall-clock
-	// watchdogs around (not inside) simulations.
-	linttest.Run(t, fixture("walltime", "distrib"), "repro/internal/distrib", lint.WallTime)
-}
-
-func TestDetMapPolicesDistrib(t *testing.T) {
-	// distrib is exempt from walltime but still result-affecting: a map
-	// iteration ordering bug there could reorder merged results.
-	linttest.Run(t, fixture("detmap", "distrib"), "repro/internal/distrib", lint.DetMap)
-}
-
 func TestGlobalRand(t *testing.T) {
 	linttest.Run(t, fixture("globalrand", "app"), "repro/internal/app", lint.GlobalRand)
 }

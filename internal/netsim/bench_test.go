@@ -73,12 +73,16 @@ func BenchmarkNetworkRoundTrip(b *testing.B) {
 		b.StopTimer()
 		engine := sim.NewEngine()
 		q := &benchQueue{}
-		net, err := NewNetwork(engine, Config{LinkRateBps: 1e9, Queue: q})
+		net, err := NewGraph(engine, GraphConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		link, err := net.AddLink(LinkConfig{Name: "bottleneck", RateBps: 1e9, Queue: q})
 		if err != nil {
 			b.Fatal(err)
 		}
 		acked := 0
-		port, err := net.AttachFlow(SenderFunc(func(a Ack, now sim.Time) { acked++ }), sim.Millisecond)
+		port, err := net.AttachFlowRoute(SenderFunc(func(a Ack, now sim.Time) { acked++ }), []*Link{link}, nil, sim.Millisecond)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -19,54 +19,79 @@ func (c *collector) OnAck(a netsim.Ack, now sim.Time) {
 	c.at = append(c.at, now)
 }
 
-func TestConfigValidate(t *testing.T) {
-	if err := (netsim.Config{}).Validate(); err == nil {
-		t.Error("empty config should not validate")
-	}
-	if err := (netsim.Config{Queue: aqm.MustDropTail(10)}).Validate(); err == nil {
-		t.Error("config without rate or trace should not validate")
-	}
-	ok := netsim.Config{Queue: aqm.MustDropTail(10), LinkRateBps: 1e6}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
-	}
-}
-
-func TestNewNetworkErrors(t *testing.T) {
-	eng := sim.NewEngine()
-	if _, err := netsim.NewNetwork(nil, netsim.Config{Queue: aqm.MustDropTail(1), LinkRateBps: 1}); err == nil {
-		t.Error("nil engine accepted")
-	}
-	if _, err := netsim.NewNetwork(eng, netsim.Config{}); err == nil {
-		t.Error("invalid config accepted")
-	}
-	n, err := netsim.NewNetwork(eng, netsim.Config{Queue: aqm.MustDropTail(1), LinkRateBps: 1e6})
+// dumbbell builds the single-bottleneck network of Figure 2 the way every
+// network is built: a graph with one link, named "bottleneck", serving link.
+func dumbbell(t testing.TB, eng *sim.Engine, mtu int, link netsim.LinkConfig) *netsim.Network {
+	t.Helper()
+	n, err := netsim.NewGraph(eng, netsim.GraphConfig{MTU: mtu})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.AttachFlow(nil, 0); err == nil {
+	link.Name = "bottleneck"
+	if _, err := n.AddLink(link); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// attach routes a flow over the dumbbell's link with the pure-delay return
+// path of Figure 2.
+func attach(t testing.TB, n *netsim.Network, s netsim.Sender, oneWay sim.Time) *netsim.Port {
+	t.Helper()
+	p, err := n.AttachFlowRoute(s, []*netsim.Link{n.Link()}, nil, oneWay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestConfigValidate checks which link configurations AddLink accepts: a link
+// needs a queue and either a fixed rate or a delivery trace.
+func TestConfigValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  netsim.LinkConfig
+		ok   bool
+	}{
+		{"empty", netsim.LinkConfig{}, false},
+		{"no rate or trace", netsim.LinkConfig{Queue: aqm.MustDropTail(10)}, false},
+		{"fixed rate", netsim.LinkConfig{Queue: aqm.MustDropTail(10), RateBps: 1e6}, true},
+		{"trace", netsim.LinkConfig{Queue: aqm.MustDropTail(10), Trace: []sim.Time{sim.Millisecond}}, true},
+	}
+	for _, tc := range cases {
+		n, err := netsim.NewGraph(sim.NewEngine(), netsim.GraphConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.cfg.Name = "bottleneck"
+		if _, err := n.AddLink(tc.cfg); (err == nil) != tc.ok {
+			t.Errorf("%s: AddLink error = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// TestNewNetworkErrors checks that attaching a flow to a one-link network
+// rejects a nil sender and a negative access delay.
+func TestNewNetworkErrors(t *testing.T) {
+	n := dumbbell(t, sim.NewEngine(), 0, netsim.LinkConfig{Queue: aqm.MustDropTail(1), RateBps: 1e6})
+	route := []*netsim.Link{n.Link()}
+	if _, err := n.AttachFlowRoute(nil, route, nil, 0); err == nil {
 		t.Error("nil sender accepted")
 	}
-	if _, err := n.AttachFlow(&collector{}, -1); err == nil {
+	if _, err := n.AttachFlowRoute(&collector{}, route, nil, -1); err == nil {
 		t.Error("negative delay accepted")
+	}
+	if n.Flows() != 0 {
+		t.Errorf("rejected attachments left %d flows", n.Flows())
 	}
 }
 
 func TestSinglePacketRTT(t *testing.T) {
 	eng := sim.NewEngine()
 	// 15 Mbps link, 75 ms one-way delay: minRTT = 150 ms + 1500*8/15e6 = 150.8 ms.
-	net, err := netsim.NewNetwork(eng, netsim.Config{
-		Queue:       aqm.MustDropTail(1000),
-		LinkRateBps: 15e6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := dumbbell(t, eng, 0, netsim.LinkConfig{Queue: aqm.MustDropTail(1000), RateBps: 15e6})
 	c := &collector{}
-	port, err := net.AttachFlow(c, 75*sim.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	port := attach(t, net, c, 75*sim.Millisecond)
 	net.Start(0)
 
 	sendAt := 10 * sim.Millisecond
@@ -103,7 +128,7 @@ func TestSinglePacketRTT(t *testing.T) {
 
 func TestMinRTTAndAccessors(t *testing.T) {
 	eng := sim.NewEngine()
-	net, _ := netsim.NewNetwork(eng, netsim.Config{Queue: aqm.MustDropTail(10), LinkRateBps: 10e6, MTU: 1000})
+	net := dumbbell(t, eng, 1000, netsim.LinkConfig{Queue: aqm.MustDropTail(10), RateBps: 10e6})
 	if net.MTU() != 1000 {
 		t.Error("MTU override")
 	}
@@ -111,7 +136,7 @@ func TestMinRTTAndAccessors(t *testing.T) {
 		t.Error("MinRTT of missing flow should be 0")
 	}
 	c := &collector{}
-	p, _ := net.AttachFlow(c, 50*sim.Millisecond)
+	p := attach(t, net, c, 50*sim.Millisecond)
 	want := 100*sim.Millisecond + sim.FromSeconds(1000*8/10e6)
 	if net.MinRTT(0) != want {
 		t.Errorf("MinRTT = %v, want %v", net.MinRTT(0), want)
@@ -122,7 +147,7 @@ func TestMinRTTAndAccessors(t *testing.T) {
 	if p.Flow() != 0 || p.OneWayDelay() != 50*sim.Millisecond || p.Receiver() == nil {
 		t.Error("port accessors")
 	}
-	if net.Engine() != eng || net.Queue() == nil {
+	if net.Engine() != eng || net.Link().Queue() == nil {
 		t.Error("network accessors")
 	}
 }
@@ -131,9 +156,9 @@ func TestLinkSerializesPackets(t *testing.T) {
 	// Two packets sent back to back: the second is delivered one
 	// transmission time after the first.
 	eng := sim.NewEngine()
-	net, _ := netsim.NewNetwork(eng, netsim.Config{Queue: aqm.MustDropTail(10), LinkRateBps: 1e6})
+	net := dumbbell(t, eng, 0, netsim.LinkConfig{Queue: aqm.MustDropTail(10), RateBps: 1e6})
 	c := &collector{}
-	port, _ := net.AttachFlow(c, 0)
+	port := attach(t, net, c, 0)
 	net.Start(0)
 	eng.Schedule(0, func(now sim.Time) {
 		port.Send(&netsim.Packet{Seq: 0, Size: 1500, SentAt: now}, now)
@@ -160,9 +185,9 @@ func TestLinkSerializesPackets(t *testing.T) {
 
 func TestQueueOverflowDropsArePropagated(t *testing.T) {
 	eng := sim.NewEngine()
-	net, _ := netsim.NewNetwork(eng, netsim.Config{Queue: aqm.MustDropTail(2), LinkRateBps: 1e6})
+	net := dumbbell(t, eng, 0, netsim.LinkConfig{Queue: aqm.MustDropTail(2), RateBps: 1e6})
 	c := &collector{}
-	port, _ := net.AttachFlow(c, 0)
+	port := attach(t, net, c, 0)
 	net.Start(0)
 	dropped := 0
 	eng.Schedule(0, func(now sim.Time) {
@@ -233,12 +258,9 @@ func TestReceiverEchoesECNAndXCP(t *testing.T) {
 func TestTraceLinkDeliversAtOpportunities(t *testing.T) {
 	eng := sim.NewEngine()
 	trace := []sim.Time{10 * sim.Millisecond, 20 * sim.Millisecond, 40 * sim.Millisecond}
-	net, err := netsim.NewNetwork(eng, netsim.Config{Queue: aqm.MustDropTail(100), Trace: trace})
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := dumbbell(t, eng, 0, netsim.LinkConfig{Queue: aqm.MustDropTail(100), Trace: trace})
 	c := &collector{}
-	port, _ := net.AttachFlow(c, 0)
+	port := attach(t, net, c, 0)
 	net.Start(0)
 	eng.Schedule(0, func(now sim.Time) {
 		for i := int64(0); i < 2; i++ {
@@ -258,9 +280,9 @@ func TestTraceLinkDeliversAtOpportunities(t *testing.T) {
 func TestTraceLinkLoops(t *testing.T) {
 	eng := sim.NewEngine()
 	trace := []sim.Time{10 * sim.Millisecond, 20 * sim.Millisecond}
-	net, _ := netsim.NewNetwork(eng, netsim.Config{Queue: aqm.MustDropTail(100), Trace: trace, TraceLoop: true})
+	net := dumbbell(t, eng, 0, netsim.LinkConfig{Queue: aqm.MustDropTail(100), Trace: trace, TraceLoop: true})
 	c := &collector{}
-	port, _ := net.AttachFlow(c, 0)
+	port := attach(t, net, c, 0)
 	net.Start(0)
 	eng.Schedule(0, func(now sim.Time) {
 		for i := int64(0); i < 4; i++ {
@@ -300,9 +322,9 @@ func TestTraceLinkValidation(t *testing.T) {
 
 func TestOnDeliverCallback(t *testing.T) {
 	eng := sim.NewEngine()
-	net, _ := netsim.NewNetwork(eng, netsim.Config{Queue: aqm.MustDropTail(10), LinkRateBps: 1e6})
+	net := dumbbell(t, eng, 0, netsim.LinkConfig{Queue: aqm.MustDropTail(10), RateBps: 1e6})
 	c := &collector{}
-	port, _ := net.AttachFlow(c, 10*sim.Millisecond)
+	port := attach(t, net, c, 10*sim.Millisecond)
 	var delivered []int64
 	net.OnDeliver = func(p *netsim.Packet, now sim.Time) { delivered = append(delivered, p.Seq) }
 	net.Start(0)
@@ -317,13 +339,13 @@ func TestOnDeliverCallback(t *testing.T) {
 
 func TestMultipleFlowsShareBottleneck(t *testing.T) {
 	eng := sim.NewEngine()
-	net, _ := netsim.NewNetwork(eng, netsim.Config{Queue: aqm.MustDropTail(1000), LinkRateBps: 10e6})
+	net := dumbbell(t, eng, 0, netsim.LinkConfig{Queue: aqm.MustDropTail(1000), RateBps: 10e6})
 	const flows = 4
 	cs := make([]*collector, flows)
 	ports := make([]*netsim.Port, flows)
 	for i := 0; i < flows; i++ {
 		cs[i] = &collector{}
-		ports[i], _ = net.AttachFlow(cs[i], 20*sim.Millisecond)
+		ports[i] = attach(t, net, cs[i], 20*sim.Millisecond)
 	}
 	net.Start(0)
 	eng.Schedule(0, func(now sim.Time) {

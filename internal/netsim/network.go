@@ -15,11 +15,9 @@ import (
 // flow declares a reverse route, travel as real packets through the reverse
 // links' queues, so a slow or congested ACK channel throttles the ACK clock.
 //
-// The classic single-bottleneck dumbbell of Figure 2 is the degenerate graph
-// with one link and no reverse routes; NewNetwork compiles its Config to
-// exactly that, scheduling the identical event sequence the hard-wired
-// dumbbell used to, so golden fixtures recorded before the generalization
-// remain byte-identical.
+// The classic single-bottleneck dumbbell of Figure 2 is the degenerate graph:
+// one link (NewGraph, then AddLink) that every flow routes over with no
+// reverse route (AttachFlowRoute).
 //
 // Flows may attach and detach at runtime (churn scenarios spawn a flow per
 // arrival and retire it on completion). Every attachment gets a fresh
@@ -208,7 +206,7 @@ func (n *Network) Start(now sim.Time) {
 func (n *Network) Engine() *sim.Engine { return n.engine }
 
 // Link exposes the primary link — the first one added — for statistics. For
-// a compiled dumbbell this is the bottleneck.
+// a dumbbell this is the bottleneck.
 func (n *Network) Link() *Link {
 	if len(n.links) == 0 {
 		return nil
@@ -221,15 +219,6 @@ func (n *Network) Links() []*Link { return n.links }
 
 // LinkByName returns the named link, or nil.
 func (n *Network) LinkByName(name string) *Link { return n.byName[name] }
-
-// Queue exposes the primary link's queue for statistics.
-func (n *Network) Queue() Queue {
-	l := n.Link()
-	if l == nil {
-		return nil
-	}
-	return l.queue
-}
 
 // MTU returns the data segment size in bytes.
 func (n *Network) MTU() int { return n.mtu }
@@ -260,16 +249,6 @@ func (n *Network) FaultDropped() int64 {
 		total += l.faultDropped
 	}
 	return total
-}
-
-// AttachFlow adds a flow routed over the primary link with the given one-way
-// access propagation delay and a pure-delay reverse path — the dumbbell
-// attachment of Figure 2. Flows are numbered in attachment order.
-func (n *Network) AttachFlow(sender Sender, oneWay sim.Time) (*Port, error) {
-	if len(n.links) == 0 {
-		return nil, fmt.Errorf("netsim: AttachFlow on a network with no links")
-	}
-	return n.AttachFlowRoute(sender, []*Link{n.links[0]}, nil, oneWay)
 }
 
 // AttachFlowRoute adds a flow following the given forward and reverse routes.

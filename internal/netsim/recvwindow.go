@@ -69,6 +69,12 @@ func (w *recvWindow) set(seq int64) {
 // returns the first sequence number not held — the new cumulative ack. Runs
 // spanning whole words consume 64 sequence numbers per step.
 func (w *recvWindow) advanceFrom(seq int64) int64 {
+	if w.count == 0 || seq < w.lo {
+		// Nothing is held at seq. Reading its ring slot would be wrong when
+		// seq lies outside the live word range: the slot may alias a live
+		// word far above seq.
+		return seq
+	}
 	for w.count > 0 {
 		word := &w.words[int(seq>>6)&(len(w.words)-1)]
 		off := uint(seq) & 63

@@ -114,3 +114,51 @@ func TestRecvWindowWordRuns(t *testing.T) {
 		t.Fatalf("window not empty after full advance: count=%d", w.count)
 	}
 }
+
+// TestReceiverCumAckVsSetModel drives two Receivers — a fresh one and one
+// whose window ring was grown by an earlier connection — through the same
+// randomized delivery pattern of reordering, loss and far-ahead bursts, and
+// requires both to report the cumulative ack a plain set of received
+// sequence numbers gives after every packet. A packet landing 256 or more
+// sequence numbers above the cumulative ack aliases a slot of the fresh
+// 4-word ring, so a window that reads the slot of a sequence number below
+// its lowest held bit acknowledges data it never received.
+func TestReceiverCumAckVsSetModel(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		fresh := NewReceiver(0)
+		grown := NewReceiver(0)
+		for seq := int64(1); seq <= 4096; seq++ { // seq 0 missing: the ring grows
+			grown.Receive(&Packet{Seq: seq}, 0)
+		}
+		grown.Reset()
+
+		held := map[int64]bool{}
+		var cum int64
+		for step := 0; step < 20000; step++ {
+			var seq int64
+			switch op := rng.Intn(10); {
+			case op < 3: // the next in-order packet (a retransmission, say)
+				seq = cum
+			case op < 8: // reordered within a typical window
+				seq = cum + rng.Int63n(64)
+			default: // a packet far ahead of a lost stretch
+				seq = cum + 200 + rng.Int63n(400)
+			}
+			held[seq] = true
+			for held[cum] {
+				cum++
+			}
+			for _, r := range []*Receiver{fresh, grown} {
+				if got := r.Receive(&Packet{Seq: seq}, 0).CumAck; got != cum {
+					name := "fresh"
+					if r == grown {
+						name = "grown"
+					}
+					t.Fatalf("seed %d step %d: %s receiver acked %d after seq %d, received set gives %d",
+						seed, step, name, got, seq, cum)
+				}
+			}
+		}
+	}
+}

@@ -52,8 +52,8 @@ func TestGraphValidation(t *testing.T) {
 	if _, err := n.AttachFlowRoute(&ackSink{}, []*netsim.Link{foreign}, nil, 0); err == nil {
 		t.Error("foreign link accepted in route")
 	}
-	if n.AttachFlow(&ackSink{}, 0); n.Flows() != 1 {
-		t.Error("AttachFlow on a graph with links should work")
+	if _, err := n.AttachFlowRoute(&ackSink{}, []*netsim.Link{n.LinkByName("a")}, nil, 0); err != nil || n.Flows() != 1 {
+		t.Errorf("AttachFlowRoute over a valid route: %v", err)
 	}
 }
 

@@ -8,27 +8,18 @@ import (
 
 // BatchJob is one pending (tree, specimen) simulation. Jobs are
 // self-contained — tree, specimen (with its seed) and design configuration
-// together determine the simulation bit for bit — so a job can execute on
-// any worker, local or remote, and a re-dispatch after a crash reproduces
-// the identical result.
+// together determine the simulation bit for bit — so a job gives the same
+// result whichever worker runs it.
 type BatchJob struct {
 	Tree        *core.WhiskerTree
 	Specimen    Specimen
 	Config      ConfigRange
 	WithSamples bool
-	// Affinity is a stable shard key: the specimen's index within the
-	// evaluation's specimen set. Distributed backends route equal-affinity
-	// jobs to the same worker, so a worker sees the same specimens batch
-	// after batch and its warm per-process state (pooled engines, reusable
-	// sessions) keeps paying off across an optimization round.
-	Affinity int
 }
 
 // BatchResult is the outcome of one BatchJob: the summed per-flow utilities,
 // the number of flows that contributed, and per-rule usage indexed by
-// whisker index (an ordering the tree's JSON codec preserves, so results
-// computed from a decoded tree line up with the coordinator's in-memory
-// tree).
+// whisker index.
 type BatchResult struct {
 	Sum       float64
 	Flows     int
@@ -41,18 +32,16 @@ type BatchResult struct {
 
 // BatchRunner executes a batch of specimen simulations and returns one
 // result per job, in job order. Implementations must be exact: the results
-// for a job must be bit-identical to RunBatchLocal's, regardless of where
-// or how often the job runs. internal/distrib's Coordinator is the
-// multi-process implementation.
+// for a job must be bit-identical to RunBatchLocal's. The benchmark's timed
+// backend (perfbench/train.go) wraps RunBatchLocal to time each batch, and
+// tests substitute fakes.
 type BatchRunner interface {
 	RunBatch(objective stats.Objective, jobs []BatchJob) ([]BatchResult, error)
 }
 
 // RunBatchLocal executes jobs on an in-process scenario runner pool. This is
 // the single execution path for specimen simulations: the Evaluator calls it
-// when no Backend is configured, and every distrib worker calls it on its
-// shard — which is what makes a distributed run byte-identical to an
-// in-process one by construction.
+// when no Backend is configured, and a Backend delegates to it.
 func RunBatchLocal(objective stats.Objective, workers int, jobs []BatchJob) ([]BatchResult, error) {
 	if len(jobs) == 0 {
 		return nil, nil

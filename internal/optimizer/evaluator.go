@@ -238,11 +238,10 @@ type Evaluator struct {
 	// DefaultMaxCacheEntries. Exceeding the bound clears the cache.
 	MaxCacheEntries int
 	// Backend, when non-nil, executes pending simulation batches instead of
-	// the in-process runner pool — the seam the distributed evaluation plane
-	// (internal/distrib) plugs into. A Backend must be exact: its results
-	// must be bit-identical to RunBatchLocal's for every job. The memo cache
-	// and usage pruning stay on this side of the seam, so only genuine
-	// simulations cross it.
+	// the in-process runner pool (the benchmark times batches this way). A
+	// Backend must be exact: its results must be bit-identical to
+	// RunBatchLocal's for every job. The memo cache and usage pruning stay
+	// on this side of the seam, so only genuine simulations cross it.
 	Backend BatchRunner
 
 	mu    sync.Mutex
@@ -414,7 +413,7 @@ func (e *Evaluator) evaluateTrees(trees []*core.WhiskerTree, specimens []Specime
 				continue
 			}
 			pendingByKey[k] = len(jobs)
-			jobs = append(jobs, BatchJob{Tree: tree, Specimen: sp, Config: cfg, WithSamples: withSamples, Affinity: si})
+			jobs = append(jobs, BatchJob{Tree: tree, Specimen: sp, Config: cfg, WithSamples: withSamples})
 			pendKeys = append(pendKeys, k)
 			pendRefs = append(pendRefs, []ref{{ti, si}})
 		}

@@ -68,9 +68,8 @@ type Remy struct {
 	StartRound int
 	StartEpoch int
 	// Backend, when non-nil, executes specimen simulation batches instead
-	// of the in-process pool (see Evaluator.Backend). Switching backends —
-	// in-process one run, distributed the next — never changes the trained
-	// tree, so it composes freely with checkpoint/resume.
+	// of the in-process pool (see Evaluator.Backend). An exact backend never
+	// changes the trained tree.
 	Backend BatchRunner
 	// Logf, if non-nil, receives progress lines.
 	Logf func(format string, args ...any)

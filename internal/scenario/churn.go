@@ -112,13 +112,17 @@ func (s Spec) compileChurn(reg *Registry, out *harness.Scenario) error {
 		if err != nil {
 			return fmt.Errorf("scenario: spec %q churn class %d (%s) size: %w", s.Name, ci, name, err)
 		}
+		path := c.Path
+		if s.Topology == nil {
+			path = bottleneckRoute
+		}
 		out.Churn = append(out.Churn, harness.ChurnClass{
 			Interarrival: inter,
 			Size:         size,
 			MaxArrivals:  c.MaxArrivals,
 			RTTMs:        c.RTTMs,
 			NewAlgorithm: alg,
-			Path:         c.Path,
+			Path:         path,
 			ReversePath:  c.ReversePath,
 		})
 	}

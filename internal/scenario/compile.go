@@ -120,10 +120,19 @@ func (s Spec) RepInvariant() bool {
 	return s.Link.Model == "" || s.Link.Model == "fixed"
 }
 
+// BottleneckLink names the one link a spec without a Topology compiles to:
+// the paper's dumbbell is the one-link topology.
+const BottleneckLink = "bottleneck"
+
+// bottleneckRoute is the route of every flow in a spec without a Topology.
+var bottleneckRoute = []string{BottleneckLink}
+
 // Compile resolves the spec's names against the registry and materializes the
 // executable scenario for one repetition, together with the repetition's
 // derived seed. Trace-driven link models synthesize a fresh trace per
-// repetition from a seed decorrelated with the run seed.
+// repetition from a seed decorrelated with the run seed. A spec without a
+// Topology compiles to a single link named BottleneckLink that every flow and
+// churn class routes over.
 func (s Spec) Compile(reg *Registry, rep int) (harness.Scenario, int64, error) {
 	if reg == nil {
 		reg = Default()
@@ -134,66 +143,19 @@ func (s Spec) Compile(reg *Registry, rep int) (harness.Scenario, int64, error) {
 	runSeed := DeriveSeed(s.Seed, rep)
 
 	out := harness.Scenario{
-		Duration: s.Duration(),
-		MTU:      s.MTU,
+		Duration:  s.Duration(),
+		MTU:       s.MTU,
+		OnDeliver: s.OnDeliver,
 	}
-
-	if s.Topology != nil {
-		if err := s.compileTopologyLinks(reg, runSeed, &out); err != nil {
-			return harness.Scenario{}, 0, err
-		}
-		if err := s.compileFlows(reg, &out); err != nil {
-			return harness.Scenario{}, 0, err
-		}
-		if err := s.compileChurn(reg, &out); err != nil {
-			return harness.Scenario{}, 0, err
-		}
-		out.OnDeliver = s.OnDeliver
-		return out, runSeed, nil
-	}
-
-	trace, capacityBps, err := s.resolveLinkService(reg,
-		fmt.Sprintf("spec %q link", s.Name),
-		s.Link.Trace, s.Link.Model, s.Link.RateBps, s.Link.XCPCapacityBps,
-		deriveTraceSeed(runSeed))
-	if err != nil {
+	if err := s.compileLinks(reg, runSeed, &out); err != nil {
 		return harness.Scenario{}, 0, err
 	}
-	if len(trace) > 0 {
-		out.Trace = trace
-		out.TraceLoop = s.Link.TraceLoop
-	} else {
-		out.LinkRateBps = s.Link.RateBps
-	}
-	out.XCPCapacityBps = capacityBps
-	if s.Faults != nil {
-		// Validate guarantees a single-bottleneck faults section has exactly
-		// one entry, targeting the bottleneck.
-		out.Faults = &s.Faults.Links[0].Schedule
-	}
-
-	// Queue: resolved through the registry and built per run, so a new AQM is
-	// a registry entry rather than a harness change.
-	kind, err := s.QueueKindFor(reg)
-	if err != nil {
-		return harness.Scenario{}, 0, err
-	}
-	factory, err := reg.Queue(kind)
-	if err != nil {
-		return harness.Scenario{}, 0, err
-	}
-	queueSpec := s.Queue
-	out.NewQueue = func(engine *sim.Engine) (netsim.Queue, error) {
-		return factory(queueSpec, QueueEnv{Engine: engine, CapacityBps: capacityBps})
-	}
-
 	if err := s.compileFlows(reg, &out); err != nil {
 		return harness.Scenario{}, 0, err
 	}
 	if err := s.compileChurn(reg, &out); err != nil {
 		return harness.Scenario{}, 0, err
 	}
-	out.OnDeliver = s.OnDeliver
 	return out, runSeed, nil
 }
 
@@ -220,6 +182,10 @@ func (s Spec) compileFlows(reg *Registry, out *harness.Scenario) error {
 		if err != nil {
 			return fmt.Errorf("scenario: spec %q flow %d (%s): %w", s.Name, i, name, err)
 		}
+		path := f.Path
+		if s.Topology == nil {
+			path = bottleneckRoute
+		}
 		count := f.Count
 		if count < 1 {
 			count = 1
@@ -229,7 +195,7 @@ func (s Spec) compileFlows(reg *Registry, out *harness.Scenario) error {
 				RTTMs:        f.RTTMs,
 				Workload:     w,
 				NewAlgorithm: alg,
-				Path:         f.Path,
+				Path:         path,
 				ReversePath:  f.ReversePath,
 			})
 		}
@@ -240,8 +206,7 @@ func (s Spec) compileFlows(reg *Registry, out *harness.Scenario) error {
 // resolveLinkService resolves one link's service description — explicit
 // trace > trace model > fixed rate — and the capacity estimate for
 // rate-aware queues (explicit override, then the fixed rate, then the
-// trace's long-term average). Shared by the single-bottleneck and topology
-// compile paths so service semantics cannot drift apart.
+// trace's long-term average).
 func (s Spec) resolveLinkService(reg *Registry, label string, explicitTrace []sim.Time, model string, rateBps, xcpOverride float64, traceSeed int64) (trace []sim.Time, capacityBps float64, err error) {
 	packetBytes := s.MTU
 	if packetBytes <= 0 {
@@ -274,33 +239,49 @@ func (s Spec) resolveLinkService(reg *Registry, label string, explicitTrace []si
 	return trace, capacityBps, nil
 }
 
-// compileTopologyLinks materializes a Topology spec's links: per-link trace
-// synthesis (decorrelated across links), queue-kind resolution (the link's
-// own queue, else the spec-level one, with the kind the flows imply as the
-// final fallback) and per-link capacity estimates for rate-aware queues.
-func (s Spec) compileTopologyLinks(reg *Registry, runSeed int64, out *harness.Scenario) error {
-	t := s.Topology
-	out.AckBytes = t.AckBytes
+// compileLinks materializes the spec's links — the Topology's, or the one
+// bottleneck of a spec without one: per-link trace synthesis (decorrelated
+// across links), queue-kind resolution (the link's own queue, else the
+// spec-level one, with the kind the flows imply as the final fallback) and
+// per-link capacity estimates for rate-aware queues.
+func (s Spec) compileLinks(reg *Registry, runSeed int64, out *harness.Scenario) error {
+	links := []TopoLinkSpec{{
+		Name:           BottleneckLink,
+		RateBps:        s.Link.RateBps,
+		Model:          s.Link.Model,
+		TraceLoop:      s.Link.TraceLoop,
+		XCPCapacityBps: s.Link.XCPCapacityBps,
+	}}
+	explicitTrace := s.Link.Trace
+	if t := s.Topology; t != nil {
+		links, explicitTrace = t.Links, nil
+		out.AckBytes = t.AckBytes
+	}
 	var faultsByLink map[string]*faults.Schedule
 	if s.Faults != nil {
 		faultsByLink = make(map[string]*faults.Schedule, len(s.Faults.Links))
 		for i := range s.Faults.Links {
 			lf := &s.Faults.Links[i]
-			faultsByLink[lf.Link] = &lf.Schedule
+			name := lf.Link
+			if name == "" {
+				// Validate allows an unnamed entry only without a Topology,
+				// where it targets the bottleneck.
+				name = BottleneckLink
+			}
+			faultsByLink[name] = &lf.Schedule
 		}
 	}
 	defaultKind := ""
-	for li, l := range t.Links {
-		trace, capacityBps, err := s.resolveLinkService(reg,
-			fmt.Sprintf("spec %q link %q", s.Name, l.Name),
-			nil, l.Model, l.RateBps, l.XCPCapacityBps,
+	for li, l := range links {
+		trace, capacityBps, err := s.resolveLinkService(reg, fmt.Sprintf("spec %q link %q", s.Name, l.Name),
+			explicitTrace, l.Model, l.RateBps, l.XCPCapacityBps,
 			deriveLinkTraceSeed(runSeed, li))
 		if err != nil {
 			return err
 		}
 		// A link that declares no queue at all inherits the spec-level Queue
 		// wholesale (kind and parameters); a kindless queue falls back to the
-		// kind the spec's flows imply, like the single-bottleneck form.
+		// kind the spec's flows imply.
 		queueSpec := l.Queue
 		if queueSpec == (QueueSpec{}) {
 			queueSpec = s.Queue

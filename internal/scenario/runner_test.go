@@ -177,10 +177,15 @@ func TestCompileExpandsFlowCounts(t *testing.T) {
 	if seed != spec.Seed {
 		t.Errorf("rep 0 seed = %d, want %d", seed, spec.Seed)
 	}
-	if scn.NewQueue == nil {
-		t.Fatal("compiled scenario has no queue factory")
+	if len(scn.Links) != 1 || scn.Links[0].Name != BottleneckLink || scn.Links[0].NewQueue == nil {
+		t.Fatalf("compiled links %+v, want one %q link with a queue factory", scn.Links, BottleneckLink)
 	}
-	q, err := scn.NewQueue(sim.NewEngine())
+	for i, f := range scn.Flows {
+		if len(f.Path) != 1 || f.Path[0] != BottleneckLink {
+			t.Errorf("flow %d path %v, want [%s]", i, f.Path, BottleneckLink)
+		}
+	}
+	q, err := scn.Links[0].NewQueue(sim.NewEngine())
 	if err != nil {
 		t.Fatal(err)
 	}

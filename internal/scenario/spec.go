@@ -189,6 +189,9 @@ func (s Spec) Validate() error {
 	if s.Repetitions < 0 {
 		return fmt.Errorf("scenario: spec %q has negative repetitions", s.Name)
 	}
+	if s.Queue.CapacityPackets < 0 {
+		return fmt.Errorf("scenario: spec %q has a negative queue capacity", s.Name)
+	}
 	if s.OnDeliver != nil && s.Reps() > 1 {
 		return fmt.Errorf("scenario: spec %q sets OnDeliver with %d repetitions; the hook would race across workers (use one repetition per spec)", s.Name, s.Reps())
 	}

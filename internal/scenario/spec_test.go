@@ -109,6 +109,12 @@ func TestSpecValidate(t *testing.T) {
 	}
 
 	bad = sampleSpec()
+	bad.Queue.CapacityPackets = -1
+	if bad.Validate() == nil {
+		t.Error("negative queue capacity accepted")
+	}
+
+	bad = sampleSpec()
 	bad.Flows[0].Workload.On = DistSpec{}
 	if bad.Validate() == nil {
 		t.Error("invalid workload accepted")

@@ -105,6 +105,9 @@ func (t *TopologySpec) Validate(specName string) error {
 		if l.DelayMs < 0 {
 			return fmt.Errorf("scenario: spec %q link %q has negative delay", specName, l.Name)
 		}
+		if l.Queue.CapacityPackets < 0 {
+			return fmt.Errorf("scenario: spec %q link %q has a negative queue capacity", specName, l.Name)
+		}
 	}
 	if t.AckBytes < 0 {
 		return fmt.Errorf("scenario: spec %q topology has negative ack_bytes", specName)

@@ -1,9 +1,12 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
+	"repro/internal/harness"
 	"repro/internal/sim"
 )
 
@@ -89,6 +92,14 @@ func TestTopologyValidationErrors(t *testing.T) {
 	s.Flows = append([]FlowSpec{}, base.Flows...)
 	s.Flows[0].Path = []string{"hop1", "hop2", "back", "hop1"}
 	errContains(t, s, "cycle")
+
+	// Negative per-link queue capacity.
+	s = base
+	topo = *base.Topology
+	topo.Links = append([]TopoLinkSpec{}, base.Topology.Links...)
+	topo.Links[0].Queue.CapacityPackets = -1
+	s.Topology = &topo
+	errContains(t, s, "negative queue capacity")
 
 	// Flow with no path.
 	s = base
@@ -297,5 +308,116 @@ func TestCrossTrafficCBRIsUnresponsive(t *testing.T) {
 		if rate < 5e6*0.5 {
 			t.Errorf("cbr sent at %.0f bps, suspiciously below its configured 5e6", rate)
 		}
+	}
+}
+
+// asOneLinkTopology rewrites a spec without a Topology as the explicit
+// one-link topology it stands for: a link named BottleneckLink with the
+// spec's link description, every flow and churn class routed over it, and
+// its fault schedule (if any) naming it.
+func asOneLinkTopology(s Spec) Spec {
+	route := []string{BottleneckLink}
+	t := s
+	t.Topology = &TopologySpec{
+		Nodes: []NodeSpec{{Name: "src"}, {Name: "dst"}},
+		Links: []TopoLinkSpec{{
+			Name:           BottleneckLink,
+			From:           "src",
+			To:             "dst",
+			RateBps:        s.Link.RateBps,
+			Model:          s.Link.Model,
+			TraceLoop:      s.Link.TraceLoop,
+			XCPCapacityBps: s.Link.XCPCapacityBps,
+		}},
+	}
+	t.Link = LinkSpec{}
+	t.Flows = append([]FlowSpec(nil), s.Flows...)
+	for i := range t.Flows {
+		t.Flows[i].Path = route
+	}
+	if s.Churn != nil {
+		churn := *s.Churn
+		churn.Classes = append([]ChurnClassSpec(nil), churn.Classes...)
+		for i := range churn.Classes {
+			churn.Classes[i].Path = route
+		}
+		t.Churn = &churn
+	}
+	if s.Faults != nil {
+		f := FaultsSpec{Links: append([]LinkFaultSpec(nil), s.Faults.Links...)}
+		f.Links[0].Link = BottleneckLink
+		t.Faults = &f
+	}
+	return t
+}
+
+// TestDumbbellIsOneLinkTopology pins that a spec without a Topology compiles
+// to exactly the explicit one-link topology: both forms give deeply equal
+// results for every queue discipline, a trace-model link, a fault schedule
+// and a churn class.
+func TestDumbbellIsOneLinkTopology(t *testing.T) {
+	w := ByBytesWorkload(ExponentialDist(100e3), ExponentialDist(0.5))
+	base := func(scheme string, opts ...Option) Spec {
+		all := append([]Option{
+			WithName("dumbbell-" + scheme),
+			WithLink(15e6),
+			WithDuration(3),
+			WithSeed(7),
+			WithRepetitions(2),
+			WithFlows(3, scheme, 100, w),
+		}, opts...)
+		return New(all...)
+	}
+	cases := []struct {
+		name string
+		spec Spec
+	}{
+		{"droptail", base("cubic", WithQueue(QueueDropTail, 100))},
+		{"sfqcodel", base("cubic/sfqcodel")},
+		{"xcp", base("xcp")},
+		{"ecn", base("dctcp", WithLink(100e6), WithECNThreshold(20))},
+		{"trace-model", base("newreno", WithLinkModel("verizon"))},
+		{"faults", base("newreno", WithFaults(FaultsSpec{Links: []LinkFaultSpec{{Schedule: faults.Schedule{
+			Outages: []faults.Outage{{StartS: 1, DurationS: 0.5}},
+			Loss:    &faults.GilbertElliott{PGoodBad: 0.02, PBadGood: 0.2, LossBad: 0.5},
+		}}}}))},
+		{"churn", base("newreno", WithChurn(ChurnSpec{Classes: []ChurnClassSpec{{
+			Scheme:       "newreno",
+			RTTMs:        60,
+			Interarrival: ExponentialDist(0.1),
+			Size:         ExponentialDist(30e3),
+		}}}))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			topo := asOneLinkTopology(tc.spec)
+			for rep := 0; rep < tc.spec.Reps(); rep++ {
+				a, seedA, err := tc.spec.Compile(nil, rep)
+				if err != nil {
+					t.Fatalf("compile dumbbell: %v", err)
+				}
+				b, seedB, err := topo.Compile(nil, rep)
+				if err != nil {
+					t.Fatalf("compile one-link topology: %v", err)
+				}
+				if seedA != seedB {
+					t.Fatalf("rep %d: seeds %d vs %d", rep, seedA, seedB)
+				}
+				ra, err := harness.Run(a, seedA)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rb, err := harness.Run(b, seedB)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ra.Offered == 0 {
+					t.Fatalf("rep %d: no traffic offered", rep)
+				}
+				if !reflect.DeepEqual(ra, rb) {
+					t.Errorf("rep %d: dumbbell and one-link topology diverge\n dumbbell: %+v\ntopology: %+v", rep, ra, rb)
+				}
+			}
+		})
 	}
 }

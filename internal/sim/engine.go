@@ -59,7 +59,7 @@ type eventSlot struct {
 // the calendar, so the dense per-packet event horizon of a busy simulation
 // costs amortized O(1) per event instead of the heap's O(log n) sift per
 // operation. The original heap engine survives as the refEngine reference
-// implementation (reference.go), which differential tests and
+// implementation (reference_test.go), which differential tests and
 // FuzzEngineVsReference hold this implementation to, fire-for-fire.
 //
 // Invariants:

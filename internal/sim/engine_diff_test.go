@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the differential harness between the production calendar-queue
-// Engine and the reference 4-ary-heap refEngine (reference.go). Both expose
+// Engine and the reference 4-ary-heap refEngine (reference_test.go). Both expose
 // the identical queue contract, so a byte-decoded op program — schedules at
 // equal timestamps, cancel storms that force slot reuse, reschedules,
 // self-rearming events, resets, bounded runs — must produce byte-identical

@@ -60,7 +60,7 @@ func (g *RNG) Exponential(mean float64) float64 {
 	return g.r.ExpFloat64() * mean
 }
 
-// Pareto returns a Pareto-distributed value with scale xm and shape alpha.
+// Pareto draws from the Pareto distribution with scale xm and shape alpha.
 // For alpha <= 1 the distribution has no finite mean, matching the ICSI
 // flow-length fit used in the paper (Figure 3: xm = 147, alpha = 0.5).
 func (g *RNG) Pareto(xm, alpha float64) float64 {
