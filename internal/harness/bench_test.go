@@ -35,43 +35,74 @@ func benchScenario(newAlgo func() cc.Algorithm) Scenario {
 	return s
 }
 
-// BenchmarkRunQuickDumbbellNewReno measures a full harness.Run — engine,
-// network, transports, workload switchers — per iteration. allocs/op here is
-// the headline number the hot-path work optimizes.
-func BenchmarkRunQuickDumbbellNewReno(b *testing.B) {
-	s := benchScenario(func() cc.Algorithm { return newreno.New() })
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(s, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkParkingLot measures one repetition of a multi-hop topology run the
-// way the campaign and optimizer layers execute it: through a warm reused
-// Session (pooled engine, pooled network/transport state), which is the
-// production path for everything but the very first repetition of a spec.
-// allocs/op is the warm-start contract — near zero. The one-shot
-// construction-included path survives as BenchmarkParkingLotCold.
-func BenchmarkParkingLot(b *testing.B) {
-	s := parkingLotScenario(20e6, 12e6, func() cc.Algorithm { return newreno.New() })
-	s.Duration = 3 * sim.Second
+// benchWarm runs one repetition of s per iteration through a warm reused
+// Session — pooled engine, pooled network/transport state — after one
+// warm-up run that grows slabs and pools, the production path for every
+// repetition of a spec but its first.
+func benchWarm(b *testing.B, s Scenario) {
 	ss, err := NewSession(s)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := ss.Run(1); err != nil { // warm-up: grow slabs and pools
+	if _, err := ss.Run(1); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	var events uint64
 	for i := 0; i < b.N; i++ {
 		if _, err := ss.Run(1); err != nil {
 			b.Fatal(err)
 		}
+		events += ss.Engine().Executed()
 	}
+	reportPerEvent(b, events)
+}
+
+// benchCold runs one repetition of s per iteration with the full per-run
+// construction (engine, network, transports) included — what harness.Run
+// does, on an engine the benchmark owns so it can count the events.
+func benchCold(b *testing.B, s Scenario) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		engine := sim.NewEngine()
+		ss, err := NewSessionOn(engine, s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ss.Run(1); err != nil {
+			b.Fatal(err)
+		}
+		events += engine.Executed()
+	}
+	reportPerEvent(b, events)
+}
+
+// reportPerEvent attaches the simulated events per iteration and the host
+// time per event (the whole-scenario rung of the performance ladder) to the
+// benchmark's output.
+func reportPerEvent(b *testing.B, events uint64) {
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+}
+
+// BenchmarkRunQuickDumbbellNewReno measures a full harness.Run — engine,
+// network, transports, workload switchers — per iteration. allocs/op here is
+// the headline number the hot-path work optimizes.
+func BenchmarkRunQuickDumbbellNewReno(b *testing.B) {
+	benchCold(b, benchScenario(func() cc.Algorithm { return newreno.New() }))
+}
+
+// BenchmarkParkingLot measures one repetition of a multi-hop topology run the
+// way the campaign and optimizer layers execute it: through a warm reused
+// Session. allocs/op is the warm-start contract — near zero. The one-shot
+// construction-included path survives as BenchmarkParkingLotCold.
+func BenchmarkParkingLot(b *testing.B) {
+	s := parkingLotScenario(20e6, 12e6, func() cc.Algorithm { return newreno.New() })
+	s.Duration = 3 * sim.Second
+	benchWarm(b, s)
 }
 
 // BenchmarkParkingLotCold measures the same repetition including the full
@@ -80,13 +111,7 @@ func BenchmarkParkingLot(b *testing.B) {
 func BenchmarkParkingLotCold(b *testing.B) {
 	s := parkingLotScenario(20e6, 12e6, func() cc.Algorithm { return newreno.New() })
 	s.Duration = 3 * sim.Second
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(s, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchCold(b, s)
 }
 
 // BenchmarkFlowChurn measures one repetition of the dynamic-population
@@ -97,46 +122,18 @@ func BenchmarkParkingLotCold(b *testing.B) {
 // TestChurnSteadyStateAllocs); what remains per run is event execution
 // proper. BenchmarkFlowChurnCold keeps the construction-included number.
 func BenchmarkFlowChurn(b *testing.B) {
-	s := flowChurnBenchScenario(20 * sim.Second)
-	ss, err := NewSession(s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := ss.Run(1); err != nil { // warm-up: grow slabs and pools
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ss.Run(1); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchWarm(b, flowChurnBenchScenario(20*sim.Second))
 }
 
 // BenchmarkFlowChurnCold is BenchmarkFlowChurn with the full per-run
 // construction included — a spec's first repetition, or what every repetition
 // cost before sessions became reusable.
 func BenchmarkFlowChurnCold(b *testing.B) {
-	s := flowChurnBenchScenario(20 * sim.Second)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(s, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchCold(b, flowChurnBenchScenario(20*sim.Second))
 }
 
 // BenchmarkRunQuickDumbbellCubic is the same end-to-end run with Cubic, a
 // heavier per-ACK code path.
 func BenchmarkRunQuickDumbbellCubic(b *testing.B) {
-	s := benchScenario(func() cc.Algorithm { return cubic.New() })
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(s, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchCold(b, benchScenario(func() cc.Algorithm { return cubic.New() }))
 }

@@ -307,6 +307,31 @@ func TestFlowChurnScale(t *testing.T) {
 	}
 }
 
+// TestFlowChurnEngineFootprint runs three repetitions of the churn benchmark
+// scenario on one session — one pooled engine, as the campaign layer reuses
+// it — and checks the engine's retained bucket storage after each stays
+// within the sim package's stated ceiling of 64 entries per peak pending
+// event (at most two buckets per pending event, each keeping at most 32
+// entries of capacity). An engine whose buckets keep the capacity of every
+// cluster they have held grows past it, rep over rep.
+func TestFlowChurnEngineFootprint(t *testing.T) {
+	ss, err := NewSession(flowChurnBenchScenario(20 * sim.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := 0
+	for rep := int64(1); rep <= 3; rep++ {
+		if _, err := ss.Run(rep); err != nil {
+			t.Fatal(err)
+		}
+		peak = max(peak, ss.Engine().PeakPending())
+		if fp := ss.Engine().Footprint(); fp > 64*peak {
+			t.Errorf("rep %d: engine retains %d bucket entries, bound 64 × peak pending %d = %d",
+				rep, fp, peak, 64*peak)
+		}
+	}
+}
+
 // TestChurnSteadyStateAllocs pins the allocation criterion: once pools have
 // grown to the peak live population, extra simulated time (more packets, more
 // spawns and retires) must cost no extra allocations per packet. It compares

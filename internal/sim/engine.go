@@ -56,11 +56,14 @@ type eventSlot struct {
 // spacing, and far-future events (beyond the calendar's horizon — RTO
 // timers, mostly) wait in a 4-ary heap "overflow rung". Inserts are O(1)
 // appends, and the pop path only ever sorts the one bucket at the head of
-// the calendar, so the dense per-packet event horizon of a busy simulation
-// costs amortized O(1) per event instead of the heap's O(log n) sift per
-// operation. The original heap engine survives as the refEngine reference
-// implementation (reference_test.go), which differential tests and
-// FuzzEngineVsReference hold this implementation to, fire-for-fire.
+// the calendar. Both are O(1) only while each bucket holds a few events, so
+// occupancy is bounded: a bucket that reaches splitMin entries re-tunes the
+// width to its own spacing (see split), which keeps the dense per-packet
+// event horizon of a busy simulation at amortized O(1) per event instead of
+// the heap's O(log n) sift per operation. The original heap engine survives
+// as the refEngine reference implementation (reference_test.go), which
+// differential tests and FuzzEngineVsReference hold this implementation to,
+// fire-for-fire.
 //
 // Invariants:
 //   - every queued event has at >= now;
@@ -70,7 +73,10 @@ type eventSlot struct {
 //     always lives in a bucket whenever any bucket is occupied;
 //   - buckets before cur are empty; cur is a hint, rewound by inserts;
 //   - when curSorted, buckets[cur][curHead:] is sorted ascending by
-//     (at, seq) and entries before curHead are already popped.
+//     (at, seq) and entries before curHead are already popped;
+//   - an emptied bucket keeps at most retainMax entries of capacity, so
+//     retained storage tracks the calendar's size (under twice the peak
+//     pending count, in buckets), not the worst cluster ever seen.
 type Engine struct {
 	now   Time
 	slots []eventSlot
@@ -99,7 +105,8 @@ type Engine struct {
 	overflow []int32
 
 	scratch  []int32       // rebuild's overflow staging, reused across calls
-	scratchE []bucketEntry // splitRebuild's staging, reused across calls
+	scratchE []bucketEntry // split's staging, reused across calls
+	scratchT []Time        // rebuild's earliest-times sample, reused across calls
 
 	// canceled counts canceled events still queued; when they outnumber
 	// live ones the queue is compacted and their slots reclaimed.
@@ -109,6 +116,8 @@ type Engine struct {
 	// executed counts events run, which tests and benchmarks use to verify
 	// workload sizes.
 	executed uint64
+	// peakPending is the highest Pending() seen since the last Reset.
+	peakPending int
 
 	// Rearm support: while a callback runs, its slot is held (not released)
 	// so Rearm can reinsert it in place with zero churn.
@@ -126,13 +135,30 @@ const compactMin = 64
 // maxTime is the saturation value for the calendar horizon.
 const maxTime = Time(math.MaxInt64)
 
-// minBuckets/maxBuckets bound the calendar size; splitMin is the current-
-// bucket occupancy past which a rebuild re-tunes the bucket width to the
-// dense cluster instead of sorting one oversized bucket per pop.
+// minBuckets/maxBuckets bound the calendar size.
+//
+// perBucket is the width heuristic's target: a retune sets the bucket width
+// to perBucket mean inter-event spacings, so a bucket holds about perBucket
+// events, or up to twice that after the width is rounded up to a power of
+// two. splitMin is twice that worst average: a bucket that reaches it holds
+// a cluster the width is too coarse for, and is split — the calendar is
+// re-tuned to the cluster's own spacing — before it grows into a sorted
+// array whose every insert is a memmove.
+//
+// retainMax is the capacity an emptied bucket may keep: a bucket grown past
+// it by an equal-timestamp storm (which no split can spread) or by a cluster
+// that filled it before it was split gives its storage back.
+//
+// headSample is how many of the earliest overflow events a rebuild reads the
+// width from: the spacing near the head, where the calendar starts serving,
+// rather than the whole overflow span, which far-future timers dominate.
 const (
 	minBuckets = 64
 	maxBuckets = 1 << 16
-	splitMin   = 128
+	perBucket  = 4
+	splitMin   = 4 * perBucket
+	retainMax  = 2 * splitMin
+	headSample = 2 * splitMin
 )
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -147,6 +173,22 @@ func (e *Engine) Pending() int { return e.inBuckets + len(e.overflow) }
 
 // Executed returns the number of events that have run.
 func (e *Engine) Executed() uint64 { return e.executed }
+
+// Footprint returns how many queue entries the engine holds storage for:
+// the capacity of every calendar bucket. Reset keeps that storage for
+// reuse, and it stays proportional to the peak pending count — a pooled
+// engine does not accumulate one bucket's worst cluster per bucket.
+func (e *Engine) Footprint() int {
+	n := 0
+	for _, bk := range e.buckets {
+		n += cap(bk)
+	}
+	return n
+}
+
+// PeakPending returns the highest Pending() seen since the last Reset (or
+// since the engine was created).
+func (e *Engine) PeakPending() int { return e.peakPending }
 
 // less orders queue entries by (time, insertion sequence).
 func (e *Engine) less(a, b int32) bool {
@@ -196,7 +238,10 @@ func (e *Engine) bucketFor(at Time) int {
 }
 
 // insert places an already-filled slot into the calendar or the overflow
-// rung according to its time.
+// rung according to its time. A bucket the event would carry past splitMin
+// entries is split first; the gate fires at splitMin and each power of two
+// above it, so a bucket that cannot be split (an equal-timestamp storm)
+// costs amortized O(1) per insert to re-examine.
 //
 //repo:hotpath per-event calendar placement
 func (e *Engine) insert(idx int32) {
@@ -208,6 +253,21 @@ func (e *Engine) insert(idx int32) {
 	s.heapPos = -1
 	en := bucketEntry{at: s.at, seq: s.seq, idx: idx}
 	b := e.bucketFor(en.at)
+	if len(e.buckets[b]) >= splitMin {
+		if n := e.live(b); n >= splitMin && n&(n-1) == 0 {
+			for e.split(b) {
+				if en.at >= e.threshold {
+					e.overflowPush(idx)
+					return
+				}
+				// Every successful split strictly refines the calendar, so
+				// re-splitting a still-full target bucket terminates.
+				if b = e.bucketFor(en.at); e.live(b) < splitMin {
+					break
+				}
+			}
+		}
+	}
 	e.inBuckets++
 	if b < e.cur {
 		// Rewind the head hint; the skipped buckets stayed empty, so the
@@ -227,6 +287,12 @@ func (e *Engine) insert(idx int32) {
 	}
 	if b == e.cur && e.curSorted {
 		bk := e.buckets[b]
+		if len(bk) == cap(bk) {
+			// Reclaim the popped prefix before growing: a head bucket that
+			// events stream through must not retain one entry per event.
+			bk = bk[:copy(bk, bk[e.curHead:])]
+			e.curHead = 0
+		}
 		// New events carry the largest sequence number, so ties on time
 		// always land after existing entries: anything at or past the
 		// current tail appends, O(1) — the common case both for ascending
@@ -236,24 +302,8 @@ func (e *Engine) insert(idx int32) {
 			e.buckets[b] = append(bk, en)
 			return
 		}
-		if len(bk)-e.curHead >= splitMin && bk[e.curHead].at != bk[len(bk)-1].at {
-			// The live bucket has grown into a dense, splittable cluster —
-			// the calendar width is tuned too coarse for the current event
-			// spacing. Re-tune rather than degenerate into an insertion-
-			// sorted array.
-			e.inBuckets-- // splitRebuild recounts; this slot is re-placed below
-			e.splitRebuild()
-			e.inBuckets++
-			if en.at >= e.threshold {
-				e.inBuckets--
-				e.overflowPush(idx)
-				return
-			}
-			//lint:ignore hotalloc post-split placement; buckets reuse retained capacity
-			e.buckets[e.bucketFor(en.at)] = append(e.buckets[e.bucketFor(en.at)], en)
-			return
-		}
-		// Binary insert into the sorted tail, comparing inline keys.
+		// Binary insert into the sorted live entries (fewer than splitMin
+		// distinct times, so the shift is short), comparing inline keys.
 		lo, hi := e.curHead, len(bk)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
@@ -272,6 +322,24 @@ func (e *Engine) insert(idx int32) {
 	}
 	//lint:ignore hotalloc bucket slices keep their capacity across Reset; append is amortized-free once warm
 	e.buckets[b] = append(e.buckets[b], en)
+}
+
+// live returns the number of queued (not yet popped) entries in bucket b.
+func (e *Engine) live(b int) int {
+	if b == e.cur && e.curSorted {
+		return len(e.buckets[b]) - e.curHead
+	}
+	return len(e.buckets[b])
+}
+
+// retire empties bucket b, dropping its storage if that exceeds retainMax
+// entries, so retained capacity stays proportional to the bucket count.
+func (e *Engine) retire(b int) {
+	if bk := e.buckets[b]; cap(bk) > retainMax {
+		e.buckets[b] = nil
+	} else {
+		e.buckets[b] = bk[:0]
+	}
 }
 
 // overflow heap primitives; oSet keeps slots' heapPos in sync with every
@@ -343,24 +411,28 @@ func (e *Engine) overflowRemove(pos int) {
 	e.overflowUp(pos)
 }
 
-// retune re-anchors the calendar: anchor at the earliest pending time m,
-// bucket width at twice the mean inter-event spacing of the n events
-// spanning [m, M] (the classic calendar-queue heuristic: ~half-full
-// buckets), and a power-of-two bucket count close to n. maxThreshold caps
-// the horizon so events already parked in the overflow rung can never be
-// undercut by a bucket entry scheduled after them.
-func (e *Engine) retune(m, M Time, n int, maxThreshold Time) {
-	e.anchor = m
-	span := M - m
-	w := 4 * span / Time(n)
+// widthShiftFor returns log2 of the bucket width for n events spanning span:
+// perBucket mean inter-event spacings (perBucket*span/n), rounded up to a
+// power of two so the per-insert bucket hash is a shift, not an int64
+// division (~20× a shift) — at the cost of buckets up to twice as full as
+// the heuristic asks for, which splitMin allows for.
+func widthShiftFor(span Time, n int) uint {
+	// floor(perBucket*span/n) without overflowing near maxTime.
+	w := span/Time(n)*perBucket + span%Time(n)*perBucket/Time(n)
 	if w < 1 {
 		w = 1
 	}
-	// Round the width up to a power of two: the bucket hash becomes a shift
-	// (int64 division is ~20× a shift and sits on every insert), at the cost
-	// of buckets up to 2× wider than the classic heuristic asks for.
-	e.widthShift = uint(bits.Len64(uint64(w) - 1))
-	w = 1 << e.widthShift
+	return min(uint(bits.Len64(uint64(w)-1)), 62)
+}
+
+// retune re-anchors the calendar at anchor with buckets 1<<shift wide and a
+// power-of-two bucket count close to n, the number of events it is about to
+// hold. maxThreshold caps the horizon so events already parked in the
+// overflow rung can never be undercut by a bucket entry scheduled after them.
+func (e *Engine) retune(anchor Time, shift uint, n int, maxThreshold Time) {
+	e.anchor = anchor
+	e.widthShift = shift
+	w := Time(1) << shift
 	e.width = w
 	nb := n
 	if nb < minBuckets {
@@ -378,17 +450,17 @@ func (e *Engine) retune(m, M Time, n int, maxThreshold Time) {
 			e.buckets = append(e.buckets, nil)
 		}
 	} else {
-		// Shrinking just forgets the tail slices' capacity; keep them —
-		// the calendar re-expands without reallocating.
+		// Shrinking keeps the tail buckets' (bounded) capacity, so the
+		// calendar re-expands without reallocating.
 		for i := nb; i < len(e.buckets); i++ {
-			e.buckets[i] = e.buckets[i][:0]
+			e.retire(i)
 		}
 	}
 	e.nb = nb
-	if w > (maxTime-m)/Time(nb) {
+	if w > (maxTime-anchor)/Time(nb) {
 		e.threshold = maxTime
 	} else {
-		e.threshold = m + Time(nb)*w
+		e.threshold = anchor + Time(nb)*w
 	}
 	if e.threshold > maxThreshold {
 		e.threshold = maxThreshold
@@ -399,21 +471,35 @@ func (e *Engine) retune(m, M Time, n int, maxThreshold Time) {
 }
 
 // rebuild migrates the overflow rung into a freshly tuned calendar. Called
-// only when the buckets are empty and the overflow is not; because the new
-// anchor is the overflow minimum and the horizon covers at least minBuckets
-// widths, at least that minimum migrates, so progress is guaranteed.
+// only when the buckets are empty and the overflow is not. The width comes
+// from the spacing of the headSample earliest overflow events; because the
+// new anchor is the overflow minimum and the horizon covers at least
+// minBuckets widths, at least that minimum migrates, so progress is
+// guaranteed.
 func (e *Engine) rebuild() {
-	m, M := maxTime, Time(0)
+	// Keep the k earliest times, ascending, by insertion into a short
+	// array; the heap order of the overflow makes most candidates fail the
+	// first comparison.
+	k := min(len(e.overflow), headSample)
+	head := e.scratchT[:0]
 	for _, idx := range e.overflow {
 		at := e.slots[idx].at
-		if at < m {
-			m = at
+		if len(head) == k {
+			if at >= head[k-1] {
+				continue
+			}
+			head = head[:k-1]
 		}
-		if at > M {
-			M = at
+		i := len(head)
+		head = append(head, at)
+		for ; i > 0 && head[i-1] > at; i-- {
+			head[i] = head[i-1]
 		}
+		head[i] = at
 	}
-	e.retune(m, M, len(e.overflow), maxTime)
+	e.scratchT = head
+	m := head[0]
+	e.retune(m, widthShiftFor(head[k-1]-m, k), len(e.overflow), maxTime)
 	e.scratch = e.scratch[:0]
 	for _, idx := range e.overflow {
 		s := &e.slots[idx]
@@ -438,50 +524,60 @@ func (e *Engine) rebuild() {
 	}
 }
 
-// splitRebuild re-tunes the calendar to the dense cluster found in the
-// current bucket (whose occupancy exceeded splitMin with distinct times) and
-// redistributes every bucketed event under the new width. The overflow rung
-// is untouched, so the new horizon is capped at the old one.
-func (e *Engine) splitRebuild() {
+// split re-tunes the calendar to the spacing of bucket b's queued entries —
+// a cluster the current width is too coarse for — and redistributes every
+// bucketed event under the new width, re-anchored at the earliest of them.
+// The overflow rung is untouched, so the new horizon is capped at the old
+// one. split reports false, changing nothing, when it cannot refine the
+// calendar: the entries share one timestamp, or the cluster's spacing asks
+// for no finer width and no entry sits below the anchor (a bucket's entries
+// span less than its width, so only bucket 0's low clamp can do that).
+// Every successful split narrows the width or lowers the anchor, so repeated
+// splits terminate.
+func (e *Engine) split(b int) bool {
+	bk := e.buckets[b]
+	if b == e.cur && e.curSorted {
+		bk = bk[e.curHead:]
+	}
+	m, M := bk[0].at, bk[0].at
+	for _, en := range bk[1:] {
+		m = min(m, en.at)
+		M = max(M, en.at)
+	}
+	shift := widthShiftFor(M-m, len(bk))
+	if m == M || (shift >= e.widthShift && m >= e.anchor) {
+		return false
+	}
 	e.scratchE = e.scratchE[:0]
-	m, M := maxTime, Time(0)
-	n := 0
 	for bi := e.cur; bi < e.nb; bi++ {
 		bk := e.buckets[bi]
-		start := 0
 		if bi == e.cur && e.curSorted {
-			start = e.curHead
+			bk = bk[e.curHead:]
 		}
-		for _, en := range bk[start:] {
-			if bi == e.cur {
-				if en.at < m {
-					m = en.at
-				}
-				if en.at > M {
-					M = en.at
-				}
-				n++
-			}
-			e.scratchE = append(e.scratchE, en)
+		for _, en := range bk {
+			m = min(m, en.at)
 		}
-		e.buckets[bi] = bk[:0]
+		e.scratchE = append(e.scratchE, bk...)
+		e.retire(bi)
 	}
-	oldThreshold := e.threshold
 	e.inBuckets = 0
-	e.retune(m, M, n, oldThreshold)
+	e.retune(m, shift, len(e.scratchE), e.threshold)
 	for _, en := range e.scratchE {
 		if en.at >= e.threshold {
 			e.overflowPush(en.idx)
 			continue
 		}
-		e.buckets[e.bucketFor(en.at)] = append(e.buckets[e.bucketFor(en.at)], en)
+		b := e.bucketFor(en.at)
+		e.buckets[b] = append(e.buckets[b], en)
 		e.inBuckets++
 	}
+	return true
 }
 
 // first readies the earliest pending event for inspection and returns its
 // slot index, or -1 when the queue is empty. After it returns >= 0, the
-// entry is buckets[cur][curHead] with curSorted set.
+// entry is buckets[cur][curHead] with curSorted set. A bucket that becomes
+// the head with more than splitMin entries is split rather than sorted.
 //
 //repo:hotpath per-event dispatch: next-event selection
 func (e *Engine) first() int32 {
@@ -499,7 +595,7 @@ func (e *Engine) first() int32 {
 				if e.curHead < len(bk) {
 					return bk[e.curHead].idx
 				}
-				e.buckets[e.cur] = bk[:0]
+				e.retire(e.cur)
 				e.curSorted = false
 				e.curHead = 0
 				e.cur++
@@ -510,20 +606,8 @@ func (e *Engine) first() int32 {
 			}
 		}
 		bk := e.buckets[e.cur]
-		if len(bk) >= splitMin {
-			// Check whether the cluster is splittable (distinct times);
-			// an equal-timestamp storm is not, and simply gets sorted.
-			first := bk[0].at
-			for _, en := range bk[1:] {
-				if en.at != first {
-					e.splitRebuild()
-					bk = nil
-					break
-				}
-			}
-			if bk == nil {
-				continue
-			}
+		if len(bk) > splitMin && e.split(e.cur) {
+			continue
 		}
 		e.sortBucket(bk)
 		e.curSorted = true
@@ -544,9 +628,10 @@ type bucketEntry struct {
 }
 
 // sortBucket sorts one bucket in place by (at, seq); the keys live inline in
-// the entries, so no slot is touched. Buckets are typically a handful of
-// entries, where a direct insertion sort beats the generic sort's comparator
-// calls; large buckets fall back to it.
+// the entries, so no slot is touched. Buckets hold at most splitMin entries
+// unless they are equal-timestamp storms, and at that size a direct
+// insertion sort beats the generic sort's comparator calls; large buckets
+// fall back to it.
 func (e *Engine) sortBucket(bk []bucketEntry) {
 	if len(bk) <= 24 {
 		for i := 1; i < len(bk); i++ {
@@ -582,8 +667,8 @@ func (e *Engine) sortBucket(bk []bucketEntry) {
 func (e *Engine) popFirst() {
 	e.curHead++
 	e.inBuckets--
-	if bk := e.buckets[e.cur]; e.curHead == len(bk) {
-		e.buckets[e.cur] = bk[:0]
+	if e.curHead == len(e.buckets[e.cur]) {
+		e.retire(e.cur)
 		e.curHead = 0
 		e.curSorted = false
 		e.cur++
@@ -636,6 +721,9 @@ func (e *Engine) schedule(at Time, fn func(Time), argFn func(Time, any), arg any
 	e.nextSeq++
 	gen := s.gen
 	e.insert(idx)
+	if p := e.inBuckets + len(e.overflow); p > e.peakPending {
+		e.peakPending = p
+	}
 	return EventID{slot: idx, gen: gen}
 }
 
@@ -789,7 +877,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // Reset discards all pending events (outstanding EventIDs and Timers go
 // stale, never firing), rewinds the clock to zero and zeroes the counters,
 // while keeping the slot slab, free list, bucket and heap capacity for
-// reuse. A pooled engine Reset between runs schedules with zero allocation
+// reuse (each bucket keeps at most retainMax entries of it). A pooled engine Reset between runs schedules with zero allocation
 // from the first event on. The calendar tuning is also cleared: bucket
 // widths are re-learned from the next run's own event spacing, so reuse
 // cannot change any run's observable behavior.
@@ -806,7 +894,7 @@ func (e *Engine) Reset() {
 		for _, en := range bk[start:] {
 			e.release(en.idx)
 		}
-		e.buckets[bi] = bk[:0]
+		e.retire(bi)
 	}
 	for _, idx := range e.overflow {
 		e.release(idx)
@@ -823,6 +911,7 @@ func (e *Engine) Reset() {
 	e.now = 0
 	e.stopped = false
 	e.executed = 0
+	e.peakPending = 0
 	e.nextSeq = 0
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -279,7 +280,58 @@ func engineDiffSeeds() [][]byte {
 		// Step-by-step execution with interleaved cancels.
 		ops([3]byte{1, 0, 3}, [3]byte{8, 0, 0}, [3]byte{4, 0, 1}, [3]byte{8, 0, 0}, [3]byte{8, 0, 0}),
 	}
-	return seeds
+	return append(seeds, splitPrograms(1)...)
+}
+
+// splitPrograms returns the three programs that drive the calendar's split
+// triggers (splitMin is 16), each overfilling a bucket several times over:
+// a drifting cluster, an equal-timestamp storm and overflow timers pulled
+// across the horizon. scale multiplies their event counts; the seeds use
+// scale 1, and the committed corpus in testdata/fuzz/FuzzEngineVsReference
+// holds the scale-2 programs. Each starts from a calendar tuned coarse — two
+// events 5 ms apart, one of them stepped — so the dense events that follow
+// land in one bucket until a split re-tunes the width.
+func splitPrograms(scale int) [][]byte {
+	coarse := []byte{0, 0, 1, 0, 19, 135, 8, 0, 0}
+	// A drifting cluster larger than the bound: near-future events at
+	// distinct times, then rearm chains and spawners stepped one event at a
+	// time so the cluster moves while inserts keep landing in the head.
+	drift := slices.Clone(coarse)
+	for i := 0; i < 48*scale; i++ {
+		drift = append(drift, 0, byte(i/85), byte(3*i+1))
+	}
+	for i := 0; i < 8*scale; i++ {
+		drift = append(drift, 7, 0, byte(40+i), 8, 0, 0, 0, 0, byte(200-i))
+	}
+	drift = append(drift, 9, 4, 1)
+	// An equal-timestamp storm larger than the bound, which cannot be split:
+	// bursts of 8 events at now+104 (104%7 == 6), then distinct times around
+	// it in the same bucket, stepped and run.
+	storm := slices.Clone(coarse)
+	for i := 0; i < 4*scale; i++ {
+		storm = append(storm, 1, 0, 104)
+	}
+	for i := 0; i < 24*scale; i++ {
+		storm = append(storm, 0, 0, byte(96+i), 8, 0, 0)
+	}
+	storm = append(storm, 1, 0, 104, 9, 1, 0)
+	// Overflow timers rescheduled across the horizon while the calendar
+	// splits: timers beyond the coarse horizon (ids 2 on), a cluster that
+	// splits the head bucket, then each timer pulled into the head region
+	// (payload k: id k, at now+k) between steps.
+	n := 24 * scale
+	timers := slices.Clone(coarse)
+	for i := 0; i < n; i++ {
+		timers = append(timers, 2, 255, byte(i))
+	}
+	for i := 0; i < 40*scale; i++ {
+		timers = append(timers, 0, byte(i/51), byte(5*i+2))
+	}
+	for k := 2; k < n+2; k++ {
+		timers = append(timers, 6, 0, byte(k), 8, 0, 0)
+	}
+	timers = append(timers, 9, 78, 32)
+	return [][]byte{drift, storm, timers}
 }
 
 // FuzzEngineVsReference fuzzes byte-decoded op programs through both queue
